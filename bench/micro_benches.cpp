@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // substrates: expression hash-consing, symbolic simulation stepping, the
-// SAT solver's propagation-heavy workloads, the propositional encoder, and
-// the rewriting engine — supporting data for the design decisions in
-// DESIGN.md.
+// SAT solver's propagation-heavy workloads, the propositional encoder, the
+// rewriting engine and the CNF inprocessing front end — supporting data for
+// the design decisions in DESIGN.md.
 #include <benchmark/benchmark.h>
 
 #include "core/diagram.hpp"
@@ -11,6 +11,7 @@
 #include "evc/translate.hpp"
 #include "models/spec.hpp"
 #include "rewrite/engine.hpp"
+#include "sat/simplify.hpp"
 #include "sat/solver.hpp"
 #include "support/rng.hpp"
 
@@ -71,6 +72,20 @@ void BM_RewriteEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_RewriteEngine)->Arg(16)->Arg(64)->Arg(128);
 
+/// The correctness formula of the rewriting strategy: the Register File
+/// equality after the rewriting rules removed the ROB updates.
+eufm::Expr rewrittenCorrectness(eufm::Context& cx, const models::Isa& isa,
+                                const models::OoOProcessor& impl,
+                                const core::Diagram& d) {
+  const rewrite::RewriteResult rw = rewrite::rewriteRobUpdates(
+      cx, isa, impl.init, impl.config, d.implRegFile, d.specRegFile);
+  eufm::Expr c = cx.mkFalse();
+  for (unsigned m = 0; m < d.specPc.size(); ++m)
+    c = cx.mkOr(c, cx.mkAnd(cx.mkEq(d.implPc, d.specPc[m]),
+                            cx.mkEq(rw.implRegFile, rw.specRegFile[m])));
+  return c;
+}
+
 void BM_Translation(benchmark::State& state) {
   const unsigned k = static_cast<unsigned>(state.range(0));
   eufm::Context cx;
@@ -78,12 +93,7 @@ void BM_Translation(benchmark::State& state) {
   auto impl = models::buildOoO(cx, isa, {2 * k, k});
   auto spec = models::buildSpec(cx, isa);
   const core::Diagram d = core::buildDiagram(cx, *impl, *spec);
-  const rewrite::RewriteResult rw = rewrite::rewriteRobUpdates(
-      cx, isa, impl->init, impl->config, d.implRegFile, d.specRegFile);
-  eufm::Expr c = cx.mkFalse();
-  for (unsigned m = 0; m < d.specPc.size(); ++m)
-    c = cx.mkOr(c, cx.mkAnd(cx.mkEq(d.implPc, d.specPc[m]),
-                            cx.mkEq(rw.implRegFile, rw.specRegFile[m])));
+  const eufm::Expr c = rewrittenCorrectness(cx, isa, *impl, d);
   for (auto _ : state) {
     evc::TranslateOptions opts;
     opts.conservativeMemory = true;
@@ -92,6 +102,35 @@ void BM_Translation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Translation)->Arg(4)->Arg(8)->Arg(16);
+
+/// The inprocessing front end alone, on correctness CNFs generated
+/// in-process: an n x k cell, rewritten (Table 5: its CNF does not depend
+/// on n) or Positive-Equality-only.
+void BM_Inprocess(benchmark::State& state, unsigned n, unsigned k,
+                  bool rewritten) {
+  eufm::Context cx;
+  const models::Isa isa = models::Isa::declare(cx);
+  auto impl = models::buildOoO(cx, isa, {n, k});
+  auto spec = models::buildSpec(cx, isa);
+  const core::Diagram d = core::buildDiagram(cx, *impl, *spec);
+  evc::TranslateOptions opts;
+  opts.conservativeMemory = rewritten;
+  const prop::Cnf cnf =
+      evc::translate(cx,
+                     rewritten ? rewrittenCorrectness(cx, isa, *impl, d)
+                               : d.correctness,
+                     opts)
+          .cnf;
+  for (auto _ : state) {
+    const sat::SimplifyResult sr = sat::inprocess(cnf, {});
+    benchmark::DoNotOptimize(sr.stats.clausesAfter);
+  }
+  state.counters["clauses"] = static_cast<double>(cnf.numClauses());
+}
+BENCHMARK_CAPTURE(BM_Inprocess, rw48x48, 48, 48, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Inprocess, pe4x3, 4, 3, false)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SatRandom3Sat(benchmark::State& state) {
   const unsigned n = static_cast<unsigned>(state.range(0));

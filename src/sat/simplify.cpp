@@ -28,7 +28,9 @@ class Simplifier {
         val_(in.numVars + 1, 0),
         frozen_(in.numVars + 1, 0),
         eliminated_(in.numVars + 1, 0),
-        occ_(2 * static_cast<std::size_t>(in.numVars) + 2) {
+        occ_(2 * static_cast<std::size_t>(in.numVars) + 2),
+        attached_(occ_.size(), 0),
+        litPos_(occ_.size(), 0) {
     if (budget_ != nullptr) budgetSource_ = budget_->registerSource();
     for (std::uint32_t v : frozen) {
       VELEV_CHECK(v >= 1 && v <= n_);
@@ -44,21 +46,51 @@ class Simplifier {
     for (unsigned round = 0; round < opts_.maxRounds && !done(); ++round) {
       ++stats_.rounds;
       const std::uint64_t before = mutations_;
-      if (opts_.substitute && !done()) substitutePass();
-      if (opts_.subsume && !done()) subsumePass();
-      if (opts_.vivify && !done()) vivifyPass();
-      if (opts_.probe && !done()) probePass();
-      if (opts_.varElim && !done()) elimPass();
+      if (opts_.substitute) runPass(kSubstitute, &Simplifier::substitutePass);
+      if (opts_.subsume) runPass(kSubsume, &Simplifier::subsumePass);
+      if (opts_.vivify) runPass(kVivify, &Simplifier::vivifyPass);
+      if (opts_.probe) runPass(kProbe, &Simplifier::probePass);
+      if (opts_.varElim) runPass(kElim, &Simplifier::elimPass);
       if (mutations_ == before) break;  // fixpoint
     }
     return finish();
   }
 
  private:
+  enum Pass { kSubstitute, kSubsume, kVivify, kProbe, kElim, kNumPasses };
+  static constexpr const char* kTickCounters[kNumPasses] = {
+      "sat.inprocess.substitute.ticks", "sat.inprocess.subsume.ticks",
+      "sat.inprocess.vivify.ticks", "sat.inprocess.probe.ticks",
+      "sat.inprocess.elim.ticks"};
+
+  /// Run one pass on occurrence lists cleared of killed clause ids (order
+  /// kept), charging its ticks.
+  void runPass(Pass p, void (Simplifier::*body)()) {
+    if (done()) return;
+    for (std::vector<std::uint32_t>& list : occ_)
+      std::erase_if(list, [this](std::uint32_t ci) { return live_[ci] == 0; });
+    const std::uint64_t before = ticks_;
+    (this->*body)();
+    passTicks_[p] += ticks_ - before;
+  }
+
   // ---- database primitives -------------------------------------------------
 
   static std::size_t litIdx(CnfLit l) {
     return 2 * (static_cast<std::size_t>(std::abs(l)) - 1) + (l < 0 ? 1 : 0);
+  }
+
+  /// Logical bytes of a clause of `size` literals, as the governor sees it.
+  static std::size_t clauseBytes(std::size_t size) {
+    return (size * 2 + 4) * sizeof(CnfLit);
+  }
+
+  /// 64-bit variable signature: a superset of c, or of c with one literal
+  /// flipped, has every bit of c's signature.
+  static std::uint64_t signature(const Clause& c) {
+    std::uint64_t sig = 0;
+    for (const CnfLit l : c) sig |= 1ull << (std::abs(l) & 63);
+    return sig;
   }
 
   std::int8_t valueOf(CnfLit l) const {
@@ -71,39 +103,49 @@ class Simplifier {
   /// whether the addition needs one depends on where the clause came from.
   std::uint32_t pushClause(Clause c) {
     const auto ci = static_cast<std::uint32_t>(db_.size());
-    bytes_ += (c.size() * 2 + 4) * sizeof(CnfLit);
+    bytes_ += clauseBytes(c.size());
     if (c.size() == 1) pendingUnits_.push_back(c[0]);
     if (c.empty()) provedUnsat_ = true;
-    for (CnfLit l : c) occ_[litIdx(l)].push_back(ci);
+    for (CnfLit l : c) {
+      occ_[litIdx(l)].push_back(ci);
+      ++attached_[litIdx(l)];
+    }
+    sig_.push_back(signature(c));
     db_.push_back(std::move(c));
     live_.push_back(1);
     ++mutations_;
     return ci;
   }
 
+  /// Kill a clause and release its literals: nothing reads a dead clause.
   void killClause(std::uint32_t ci, bool emitDelete) {
     if (live_[ci] == 0) return;
     live_[ci] = 0;
     ++mutations_;
+    bytes_ -= clauseBytes(db_[ci].size());
     // Unit clauses are never deleted from the proof: the simplified CNF
     // re-emits every level-0 unit, so the checker database must keep them.
     if (emitDelete && proof_ != nullptr && db_[ci].size() > 1)
-      proof_->del(db_[ci]);
+      proof_->del(std::move(db_[ci]));
+    db_[ci] = Clause();
   }
 
   /// Sort + dedupe + drop assigned-false lits. Returns false for clauses
-  /// that are tautologous or satisfied at level 0 (caller skips them).
+  /// that are tautologous or satisfied at level 0 (caller skips them). The
+  /// signed sort fixes the literal order of every clause in the database;
+  /// it places x and ¬x apart, so complements are found by binary search.
   bool normalize(Clause& c) const {
     std::sort(c.begin(), c.end());
     c.erase(std::unique(c.begin(), c.end()), c.end());
     Clause out;
     out.reserve(c.size());
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      if (i + 1 < c.size() && c[i] == -c[i + 1]) return false;  // tautology
-      const std::int8_t v = valueOf(c[i]);
+    for (const CnfLit l : c) {
+      if (l < 0 && std::binary_search(c.begin(), c.end(), -l))
+        return false;  // tautology
+      const std::int8_t v = valueOf(l);
       if (v > 0) return false;  // satisfied
       if (v < 0) continue;      // falsified literal: drop
-      out.push_back(c[i]);
+      out.push_back(l);
     }
     c = std::move(out);
     return true;
@@ -396,48 +438,83 @@ class Simplifier {
     for (const std::uint32_t ci : order) {
       if (live_[ci] == 0) continue;  // subsumed by an earlier clause
       if (done()) return;
-      const Clause c = db_[ci];
-      // Backward subsumption through the least-occurring literal: any
-      // superset of c must contain it.
-      CnfLit pivot = c[0];
-      for (const CnfLit l : c)
-        if (occ_[litIdx(l)].size() < occ_[litIdx(pivot)].size()) pivot = l;
-      const std::vector<std::uint32_t> cands = occ_[litIdx(pivot)];
-      for (const std::uint32_t di : cands) {
-        if (di == ci || live_[di] == 0 || db_[di].size() < c.size()) continue;
-        if (tick(db_[di].size())) return;
-        if (std::includes(db_[di].begin(), db_[di].end(), c.begin(),
-                          c.end())) {
-          killClause(di, /*emitDelete=*/true);
-          ++stats_.clausesRemoved;
+      // A copy: strengthening appends to db_.
+      subC_ = db_[ci];
+      const Clause& c = subC_;
+      // Every clause that c subsumes or strengthens contains the variable
+      // of some literal of c, in one polarity or the other: scan the two
+      // occurrence lists of the least-occurring one.
+      std::size_t p = 0, best = SIZE_MAX;
+      for (std::size_t k = 0; k < c.size(); ++k) {
+        const std::size_t n =
+            occ_[litIdx(c[k])].size() + occ_[litIdx(-c[k])].size();
+        if (n < best) {
+          best = n;
+          p = k;
         }
       }
-      // Self-subsumption: c with one literal flipped subsumes d => the
-      // flipped literal can be resolved out of d (the resolvent c⊗d ⊆ d
-      // is RUP from c and d).
-      for (std::size_t k = 0; k < c.size(); ++k) {
-        Clause flip = c;
-        flip[k] = -flip[k];
-        std::sort(flip.begin(), flip.end());
-        const std::vector<std::uint32_t> strong = occ_[litIdx(-c[k])];
-        for (const std::uint32_t di : strong) {
-          if (di == ci || live_[di] == 0 || db_[di].size() < c.size())
-            continue;
-          if (tick(db_[di].size())) return;
-          if (!std::includes(db_[di].begin(), db_[di].end(), flip.begin(),
-                             flip.end()))
-            continue;
-          Clause d = db_[di];
-          d.erase(std::find(d.begin(), d.end(), -c[k]));
-          ++stats_.clausesStrengthened;
-          ++stats_.litsRemoved;
-          if (proof_ != nullptr) proof_->add(d);
-          killClause(di, /*emitDelete=*/true);
-          pushClause(std::move(d));
-        }
+      for (std::size_t k = 0; k < c.size(); ++k)
+        litPos_[litIdx(c[k])] = static_cast<std::uint32_t>(k + 1);
+      flips_.clear();
+      subsumeScan(ci, occ_[litIdx(c[p])]);
+      subsumeScan(ci, occ_[litIdx(-c[p])]);
+      for (const CnfLit l : c) litPos_[litIdx(l)] = 0;
+      // Self-subsumption: c with c[k] flipped subsumes d => ¬c[k] can be
+      // resolved out of d (the resolvent c⊗d ⊆ d is RUP from c and d).
+      // Applied in (k, id) order: that order fixes the ids of the new
+      // clauses, and so the output order the InprocessPin tests pin.
+      std::sort(flips_.begin(), flips_.end());
+      for (const auto& [k, di] : flips_) {
+        Clause d = db_[di];
+        d.erase(std::find(d.begin(), d.end(), -c[k]));
+        ++stats_.clausesStrengthened;
+        ++stats_.litsRemoved;
+        if (proof_ != nullptr) proof_->add(d);
+        killClause(di, /*emitDelete=*/true);
+        pushClause(std::move(d));
       }
     }
     propagateUnits();
+  }
+
+  /// One occurrence list of the pivot variable of subC_ (clause `ci`, its
+  /// literals marked in litPos_): kill the clauses c subsumes, in list
+  /// (= ascending id) order, and collect into flips_ the ones it
+  /// strengthens. Drops dead ids from the list on the way. Without
+  /// tautologies, a candidate contains each variable of c at most once, so
+  /// it is a superset of c, of c with exactly one literal flipped, or
+  /// neither.
+  void subsumeScan(std::uint32_t ci, std::vector<std::uint32_t>& list) {
+    const Clause& c = subC_;
+    const std::uint64_t sig = sig_[ci];
+    std::size_t kept = 0;
+    for (const std::uint32_t di : list) {
+      if (live_[di] == 0) continue;
+      list[kept++] = di;
+      if (di == ci || stopped_ || (sig & ~sig_[di]) != 0 ||
+          db_[di].size() < c.size())
+        continue;
+      if (tick(db_[di].size())) continue;
+      std::size_t hits = 0;
+      std::uint32_t flipped = 0;  // 1 + position in c of the flipped literal
+      for (const CnfLit x : db_[di]) {
+        if (litPos_[litIdx(x)] != 0) {
+          ++hits;
+        } else if (const std::uint32_t k = litPos_[litIdx(-x)]; k != 0) {
+          if (flipped != 0) break;  // two flips: both literals of c missing
+          flipped = k;
+        }
+      }
+      if (flipped == 0 && hits == c.size()) {
+        killClause(di, /*emitDelete=*/true);
+        ++stats_.clausesRemoved;
+        --kept;
+      } else if (flipped != 0 && hits + 1 == c.size()) {
+        flips_.emplace_back(flipped - 1, di);
+      }
+    }
+    tick(list.size());
+    list.resize(kept);
   }
 
   // ---- counter-based propagation engine (vivification, probing) ------------
@@ -503,7 +580,7 @@ class Simplifier {
             }
           }
         }
-        s.ticks_ += s.occ_[litIdx(p)].size() + s.occ_[litIdx(-p)].size();
+        s.ticks_ += s.attached_[litIdx(p)] + s.attached_[litIdx(-p)];
       }
       return conflict;
     }
@@ -518,7 +595,7 @@ class Simplifier {
           if (s.live_[ci] != 0) --nTrue[ci];
         for (const std::uint32_t ci : s.occ_[litIdx(-p)])
           if (s.live_[ci] != 0 && nFalse[ci] > 0) --nFalse[ci];
-        s.ticks_ += s.occ_[litIdx(p)].size() + s.occ_[litIdx(-p)].size();
+        s.ticks_ += s.attached_[litIdx(p)] + s.attached_[litIdx(-p)];
       }
       qhead = trail.size();
       conflict = false;
@@ -538,7 +615,11 @@ class Simplifier {
     const std::uint64_t limit = ticks_ + opts_.vivifyTickLimit;
     for (std::uint32_t ci = 0; ci < eng.nFalse.size(); ++ci) {
       if (live_[ci] == 0 || db_[ci].size() < 2) continue;
-      if (ticks_ >= limit || tick()) break;
+      if (ticks_ >= limit) {
+        ++vivifyCapped_;
+        break;
+      }
+      if (tick()) break;
       const Clause& c = db_[ci];
       Clause kept;
       bool shortened = false;
@@ -595,7 +676,11 @@ class Simplifier {
     Engine eng(*this);
     std::vector<CnfLit> failed;
     const std::uint64_t limit = ticks_ + opts_.probeTickLimit;
-    for (std::uint32_t v = 1; v <= n_ && ticks_ < limit; ++v) {
+    for (std::uint32_t v = 1; v <= n_; ++v) {
+      if (ticks_ >= limit) {
+        ++probeCapped_;
+        break;
+      }
       if (val_[v] != 0 || eliminated_[v] != 0) continue;
       for (const CnfLit l :
            {static_cast<CnfLit>(v), -static_cast<CnfLit>(v)}) {
@@ -784,6 +869,11 @@ class Simplifier {
       c->addCounter("sat.inprocess.failed_literals", stats_.failedLiterals);
       c->maxCounter("sat.inprocess.reconstruction_depth",
                     stats_.reconstructionDepth);
+      // Work, not output: collector-only, outside core::reportCounters.
+      for (int p = 0; p < kNumPasses; ++p)
+        c->addCounter(kTickCounters[p], passTicks_[p]);
+      c->addCounter("sat.inprocess.vivify.capped", vivifyCapped_);
+      c->addCounter("sat.inprocess.probe.capped", probeCapped_);
     }
     return out;
   }
@@ -795,11 +885,16 @@ class Simplifier {
 
   std::uint32_t n_;
   std::vector<Clause> db_;
+  std::vector<std::uint64_t> sig_;  // signature() per clause
   std::vector<char> live_;
   std::vector<std::int8_t> val_;
   std::vector<char> frozen_;
   std::vector<char> eliminated_;
-  std::vector<std::vector<std::uint32_t>> occ_;
+  std::vector<std::vector<std::uint32_t>> occ_;  // compacted by runPass
+  // Per literal: clauses ever attached, i.e. the length of its occurrence
+  // list had dead ids never been dropped. The engine charges its ticks in
+  // this unit, so the vivify/probe caps do not move with compaction.
+  std::vector<std::uint64_t> attached_;
 
   std::vector<CnfLit> pendingUnits_;
   std::vector<CnfLit> unitQueue_;
@@ -808,11 +903,20 @@ class Simplifier {
   // allocations).
   std::vector<std::pair<CnfLit, std::uint32_t>> binByOther_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs_;
+  // Scratch for subsumePass: the clause being applied, 1 + the position of
+  // each of its literals (by litIdx), and the (position, id) pairs it
+  // strengthens.
+  Clause subC_;
+  std::vector<std::uint32_t> litPos_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> flips_;
 
   Reconstructor recon_;
   InprocessStats stats_;
   std::uint64_t mutations_ = 0;
   std::uint64_t ticks_ = 0;
+  std::uint64_t passTicks_[kNumPasses] = {};
+  std::uint64_t vivifyCapped_ = 0;  // rounds stopped at vivifyTickLimit
+  std::uint64_t probeCapped_ = 0;   // rounds stopped at probeTickLimit
   std::uint64_t nextPoll_ = 0x8000;
   std::size_t bytes_ = 0;
   bool provedUnsat_ = false;

@@ -9,7 +9,8 @@
 //
 //   1. level-0 unit propagation + clause cleanup,
 //   2. SCC-based equivalent-literal substitution (binary implication graph),
-//   3. subsumption and self-subsumption (occurrence-list backward pass),
+//   3. subsumption and self-subsumption (one backward pass over occurrence
+//      lists, candidates filtered by 64-bit clause signatures),
 //   4. vivification (assume the negated clause prefix, shorten on conflict),
 //   5. failed-literal probing,
 //   6. bounded variable elimination (NiVER-style: never increase the
@@ -70,8 +71,9 @@ struct InprocessOptions {
   /// resolvents are generated — the rest are implied — so the growth bound
   /// passes on the definitional variables the AIG translation mass-produces.
   bool elimBySubstitution = true;
-  /// Deterministic work caps (logical "ticks" = clause-literal touches),
-  /// so budget-capped verdicts stay machine-independent.
+  /// Deterministic work caps (logical "ticks": propagating a literal costs
+  /// the number of clauses ever attached to it), so budget-capped verdicts
+  /// stay machine-independent.
   std::uint64_t vivifyTickLimit = 20'000'000;
   std::uint64_t probeTickLimit = 20'000'000;
 };

@@ -4,21 +4,33 @@
 // solver, brute force, and the BDD engine), Sat models of the simplified
 // CNF must reconstruct to models of the ORIGINAL CNF, frozen variables
 // must keep assumption-conditional equisatisfiability, and the checked-in
-// fuzz corpus must decode identically with the front end on and off.
+// fuzz corpus must decode identically with the front end on and off. The
+// simplifier's exact output on the benchmark's SAT cells is pinned.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <filesystem>
+#include <iomanip>
 #include <map>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "core/diagram.hpp"
 #include "core/request.hpp"
 #include "core/verifier.hpp"
+#include "evc/translate.hpp"
 #include "fuzz/fuzz.hpp"
+#include "models/ooo.hpp"
+#include "models/spec.hpp"
 #include "prop/cnf.hpp"
+#include "rewrite/engine.hpp"
 #include "sat/simplify.hpp"
 #include "sat/solver.hpp"
 #include "support/rng.hpp"
+#include "support/trace.hpp"
 
 namespace velev::sat {
 namespace {
@@ -69,6 +81,54 @@ bool bruteForceSat(const Cnf& cnf) {
     if (modelSatisfies(cnf, model)) return true;
   }
   return false;
+}
+
+/// The correctness CNF of one verification cell, built by the layer calls
+/// core::verifyWith makes (the CNF is the same for any worker count, so
+/// no pool).
+Cnf cellCnf(const core::VerifyRequest& req) {
+  const core::VerifyOptions opts = req.options();
+  eufm::Context cx;
+  const models::Isa isa = models::Isa::declare(cx);
+  auto impl = models::buildOoO(cx, isa, req.config(), req.bug);
+  auto spec = models::buildSpec(cx, isa);
+  const core::Diagram d = core::buildDiagram(cx, *impl, *spec, opts.sim);
+  eufm::Expr correctness = d.correctness;
+  evc::TranslateOptions topts;
+  topts.ufScheme = opts.ufScheme;
+  if (req.strategy == core::Strategy::RewritingPlusPositiveEquality) {
+    const rewrite::RewriteResult rw = rewrite::rewriteRobUpdates(
+        cx, isa, impl->init, impl->config, d.implRegFile, d.specRegFile);
+    EXPECT_TRUE(rw.ok) << rw.message;
+    correctness = cx.mkFalse();
+    for (unsigned m = 0; m < d.specPc.size(); ++m)
+      correctness = cx.mkOr(
+          correctness, cx.mkAnd(cx.mkEq(d.implPc, d.specPc[m]),
+                                cx.mkEq(rw.implRegFile, rw.specRegFile[m])));
+    topts.conservativeMemory = true;
+  }
+  return evc::translate(cx, correctness, topts).cnf;
+}
+
+core::VerifyRequest cell(unsigned rob, unsigned width,
+                         core::Strategy strategy =
+                             core::Strategy::RewritingPlusPositiveEquality,
+                         models::BugSpec bug = {}) {
+  core::VerifyRequest req;
+  req.robSize = rob;
+  req.issueWidth = width;
+  req.strategy = strategy;
+  req.bug = bug;
+  return req;
+}
+
+std::size_t countTautologies(const Cnf& cnf) {
+  return static_cast<std::size_t>(
+      std::count_if(cnf.clauses.begin(), cnf.clauses.end(), [](const Clause& c) {
+        return std::any_of(c.begin(), c.end(), [&c](CnfLit l) {
+          return std::find(c.begin(), c.end(), -l) != c.end();
+        });
+      }));
 }
 
 InprocessOptions singlePass(int which) {
@@ -172,6 +232,39 @@ TEST(Inprocess, PipelineActuallySimplifies) {
   EXPECT_GT(total.reconstructionDepth, 0u);
 }
 
+// ---- tautologies: normalize() must catch x ∨ ¬x in any position ------------
+
+TEST(Inprocess, EliminationDropsTautologicalResolvent) {
+  // x1 and x3 are frozen, so only x2 can go. Its one resolvent, (¬x3 ∨ x1
+  // ∨ x3), is a tautology: x2 is eliminated and no clause is left. The
+  // signed sort puts -3 and 3 apart, which an adjacency check misses.
+  Cnf cnf;
+  cnf.numVars = 3;
+  cnf.addClause({2, -3, 1});
+  cnf.addClause({-2, 3});
+  const std::uint32_t frozen[] = {1, 3};
+  const SimplifyResult sr = inprocess(cnf, {}, nullptr, nullptr, frozen);
+  ASSERT_FALSE(sr.provedUnsat);
+  EXPECT_TRUE(sr.cnf.clauses.empty()) << sr.cnf.clauses.size() << " clauses";
+  EXPECT_EQ(sr.stats.varsEliminated, 1u);
+}
+
+TEST(Inprocess, OutputContainsNoTautology) {
+  Rng rng(2718);
+  std::size_t tautologies = 0, clauses = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    const SimplifyResult sr = inprocess(randomCnf(rng), {});
+    tautologies += countTautologies(sr.cnf);
+    clauses += sr.cnf.clauses.size();
+  }
+  EXPECT_GT(clauses, 0u);
+  EXPECT_EQ(tautologies, 0u) << "random mix";
+
+  const SimplifyResult sr = inprocess(cellCnf(cell(48, 48)), {});
+  EXPECT_GT(sr.cnf.clauses.size(), 0u);
+  EXPECT_EQ(countTautologies(sr.cnf), 0u) << "48x48 pipeline CNF";
+}
+
 // ---- frozen variables: assumption-conditional equisatisfiability ------------
 
 TEST(Inprocess, FrozenVariablesKeepConditionalEquisat) {
@@ -250,6 +343,142 @@ TEST(Inprocess, BddEngineAgreesWithInprocessedSatOnPipelineCell) {
   EXPECT_TRUE(rep.inprocessed);
   EXPECT_GT(rep.inprocessStats.clausesBefore, 0u);
 }
+
+// ---- per-pass work counters ---------------------------------------------------
+
+TEST(Inprocess, WorkCountersAreCollectorOnly) {
+  // Ticks and cap hits describe work, not output: they reach an attached
+  // collector but stay out of the reportCounters() contract.
+  const core::VerifyRequest req = cell(8, 8);
+  trace::Collector c;
+  core::VerifyReport rep;
+  {
+    trace::Use use(&c);
+    rep = core::verify(req);
+  }
+  ASSERT_EQ(rep.verdict(), core::Verdict::Correct);
+  ASSERT_TRUE(rep.inprocessed);
+  const auto counters = c.counters();
+  for (const char* pass : {"substitute", "subsume", "vivify", "probe", "elim"})
+    EXPECT_EQ(counters.count(std::string("sat.inprocess.") + pass + ".ticks"),
+              1u)
+        << pass;
+  EXPECT_GT(c.counter("sat.inprocess.subsume.ticks"), 0u);
+  EXPECT_EQ(counters.count("sat.inprocess.vivify.capped"), 1u);
+  EXPECT_EQ(counters.count("sat.inprocess.probe.capped"), 1u);
+  for (const auto& [name, value] : core::reportCounters(rep)) {
+    EXPECT_EQ(name.find(".ticks"), std::string::npos) << name;
+    EXPECT_EQ(name.find(".capped"), std::string::npos) << name;
+  }
+
+  // A tick cap of 1 stops vivification and probing in every round.
+  InprocessOptions tight;
+  tight.vivifyTickLimit = 1;
+  tight.probeTickLimit = 1;
+  trace::Collector capped;
+  InprocessStats st;
+  {
+    trace::Use use(&capped);
+    st = inprocess(cellCnf(req), tight).stats;
+  }
+  EXPECT_EQ(capped.counter("sat.inprocess.vivify.capped"), st.rounds);
+  EXPECT_EQ(capped.counter("sat.inprocess.probe.capped"), st.rounds);
+}
+
+// ---- pinned output on the benchmark's SAT cells -------------------------------
+//
+// Every InprocessStats field and an FNV-1a hash of the simplified clause
+// sequence, on the CNFs of the SAT cells of the repository benchmark
+// (perfbench/): the 48- and 32-wide rewritten cells (by Table 5 their CNF
+// does not depend on the ROB size) and the Positive-Equality-only cells. A
+// change that means to change what the simplifier outputs updates this
+// table in the same commit; any other change must leave it as it is.
+
+std::uint64_t fnv1a(const Cnf& cnf) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto feed = [&h](std::int64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<std::uint8_t>(x >> (8 * i));
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const Clause& c : cnf.clauses) {
+    feed(static_cast<std::int64_t>(c.size()));
+    for (const CnfLit l : c) feed(l);
+  }
+  return h;
+}
+
+using StatFields = std::array<std::uint64_t, 11>;
+
+StatFields statFields(const InprocessStats& s) {
+  return {s.rounds,          s.clausesBefore,       s.clausesAfter,
+          s.clausesRemoved,  s.clausesStrengthened, s.litsRemoved,
+          s.varsEliminated,  s.varsSubstituted,     s.failedLiterals,
+          s.unitsDerived,    s.reconstructionDepth};
+}
+
+struct PinnedCell {
+  const char* name;
+  core::VerifyRequest req;
+  // rounds, clausesBefore, clausesAfter, clausesRemoved,
+  // clausesStrengthened, litsRemoved, varsEliminated, varsSubstituted,
+  // failedLiterals, unitsDerived, reconstructionDepth
+  StatFields stats;
+  std::uint64_t hash;
+};
+
+constexpr core::Strategy kPe = core::Strategy::PositiveEqualityOnly;
+
+const PinnedCell kPinnedCells[] = {
+    {"rw48x48", cell(48, 48),
+     {3, 25402, 9383, 42758, 7055, 7055, 7090, 3, 5, 149, 7093},
+     0xa76d8b00abe273f7ull},
+    {"rw32x32", cell(32, 32),
+     {3, 11554, 4261, 19166, 3060, 3061, 3190, 4, 5, 108, 3194},
+     0x145d996229eb07acull},
+    {"pe4x3", cell(4, 3, kPe),
+     {3, 33898, 15372, 68524, 9611, 9611, 8601, 1, 2, 9, 8602},
+     0xbd1472dc25b3bccaull},
+    {"pe5x2", cell(5, 2, kPe),
+     {3, 28270, 13094, 57826, 7839, 7839, 7221, 13, 2, 7, 7234},
+     0x34a7f4bd00092ca3ull},
+    {"pe4x2_stale2",
+     cell(4, 2, kPe, {models::BugKind::ForwardingStaleResult, 2}),
+     {3, 19612, 8992, 39761, 5392, 5408, 5003, 5, 1, 7, 5008},
+     0x912b2873730ca76aull},
+    {"pe3x2", cell(3, 2, kPe),
+     {3, 12904, 5825, 25963, 3582, 3620, 3302, 8, 0, 7, 3310},
+     0x03b633efa1aee4a7ull},
+};
+
+void PrintTo(const PinnedCell& pin, std::ostream* os) { *os << pin.name; }
+
+class InprocessPin : public ::testing::TestWithParam<PinnedCell> {};
+
+/// A table row's value part, as it is written in kPinnedCells.
+std::string pinRow(const StatFields& stats, std::uint64_t hash) {
+  std::ostringstream os;
+  os << "{";
+  for (std::size_t i = 0; i < stats.size(); ++i)
+    os << (i == 0 ? "" : ", ") << stats[i];
+  os << "}, 0x" << std::hex << std::setw(16) << std::setfill('0') << hash
+     << "ull";
+  return os.str();
+}
+
+TEST_P(InprocessPin, StatsAndOutputHashMatch) {
+  const PinnedCell& pin = GetParam();
+  const SimplifyResult sr = inprocess(cellCnf(pin.req), {});
+  EXPECT_EQ(pinRow(statFields(sr.stats), fnv1a(sr.cnf)),
+            pinRow(pin.stats, pin.hash));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BenchCells, InprocessPin, ::testing::ValuesIn(kPinnedCells),
+    [](const ::testing::TestParamInfo<PinnedCell>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---- corpus replay through the decoder --------------------------------------
 
