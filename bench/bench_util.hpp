@@ -38,13 +38,6 @@ inline bool noInprocess() {
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
-/// REPRO_INCREMENTAL=1 shares one incremental SAT session across the grid
-/// cells (sequential execution; see core::GridRunOptions::incremental).
-inline bool incrementalGrid() {
-  const char* v = std::getenv("REPRO_INCREMENTAL");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
 /// Worker threads for the grid benches: `--jobs N` on the command line, or
 /// the REPRO_JOBS environment variable, else `fallback`.
 inline unsigned parseJobs(int argc, char** argv, unsigned fallback = 1) {

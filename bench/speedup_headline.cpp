@@ -13,7 +13,10 @@
 // and once on the work-stealing grid runner with `--jobs N` workers
 // (default: min(4, hardware threads); REPRO_JOBS overrides). Cell-by-cell
 // verdicts must be identical; the wall-clock ratio is the parallel
-// speedup. Machine-readable results land in BENCH_speedup_headline.json.
+// speedup. Each run shares one SAT solve memo across its cells: at jobs 1
+// every cell after the first of its width replays SAT, while concurrent
+// cells can both miss, so the two runs do different amounts of SAT work.
+// Machine-readable results land in BENCH_speedup_headline.json.
 #include <cmath>
 #include <cstdio>
 

@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
       core::makeGridRequests(sizes, widths, base);
   core::GridRunOptions gopts;
   gopts.jobs = jobs;
-  gopts.incremental = bench::incrementalGrid();
   const std::vector<core::GridCellResult> results =
       core::runGrid(cells, gopts);
 
@@ -102,7 +101,6 @@ int main(int argc, char** argv) {
       budget.wallSeconds, budget.memoryBytes / (1024 * 1024),
       static_cast<long long>(budget.satConflicts), jobs);
   json.note("inprocess", noInp ? 0 : 1);
-  json.note("incremental", gopts.incremental ? 1 : 0);
   json.note("conflict_budget", static_cast<double>(budget.satConflicts));
   json.note("timeout_seconds", budget.wallSeconds);
   json.note("mem_budget_mb",

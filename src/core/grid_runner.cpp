@@ -331,8 +331,7 @@ class CheckpointStore {
 };
 
 GridCellResult runCell(const GridJob& job, const GridRunOptions& opts,
-                       std::size_t index,
-                       sat::IncrementalSession* session = nullptr) {
+                       std::size_t index, sat::SolveMemo& memo) {
   GridCellResult res;
   res.cell = job.cell;
   Timer t;
@@ -347,7 +346,7 @@ GridCellResult runCell(const GridJob& job, const GridRunOptions& opts,
     // rule; see the header), so budgets are strictly per cell.
     const models::OoOConfig cfg{job.cell.robSize, job.cell.issueWidth};
     VerifyOptions vopts = job.vopts;
-    vopts.satSession = session;
+    vopts.satMemo = &memo;
     // Intra-cell parallelism: semantically invisible (identical verdicts
     // and counters), so layering it on here never perturbs a checkpoint.
     if (opts.cellJobs > 1) vopts.jobs = opts.cellJobs;
@@ -358,10 +357,8 @@ GridCellResult runCell(const GridJob& job, const GridRunOptions& opts,
         job.vopts.strategy == Strategy::PositiveEqualityOnly) {
       res.fellBack = true;
       res.firstVerdict = res.report.outcome.verdict;
-      VerifyOptions retry = job.vopts;
+      VerifyOptions retry = vopts;
       retry.strategy = Strategy::RewritingPlusPositiveEquality;
-      retry.satSession = nullptr;  // different strategy, fresh solver
-      if (opts.cellJobs > 1) retry.jobs = opts.cellJobs;
       res.report = verifyCell(cfg, job.cell.bug, retry);
     }
   }
@@ -409,7 +406,6 @@ void writeGridManifest(const std::string& dir, const GridRunOptions& opts,
       "fallback", opts.fallback == FallbackPolicy::RetryWithRewriting
                       ? "retry-with-rewriting"
                       : "none");
-  m.config.emplace_back("incremental", opts.incremental ? "true" : "false");
   m.config.emplace_back(
       "inprocess", sharedOrMixed(jobs, [](const GridJob& j) {
         return std::string(j.vopts.inprocess.enabled ? "true" : "false");
@@ -507,15 +503,12 @@ std::vector<GridCellResult> runGridImpl(std::span<const GridJob> jobs,
     ckpt->add(makeRecord(keys[i], results[i]));
   };
 
-  if (opts.jobs <= 1 || opts.incremental) {
-    // One shared incremental session for the whole (sequential) grid: the
-    // session is single-threaded by design, so `incremental` overrides
-    // `jobs`. Its inprocessing knobs come from the first job — a session
-    // simplifies one clause database, not one per cell.
-    sat::IncrementalSession session(
-        {}, jobs.empty() ? sat::InprocessOptions{}
-                         : jobs.front().vopts.inprocess);
-    sat::IncrementalSession* shared = opts.incremental ? &session : nullptr;
+  // One solve memo for the whole call, shared by every cell (fallback
+  // retries included) at any `jobs`: a Table 5 column replays one SAT solve
+  // with counters identical to fresh ones. Concurrent cells may both miss.
+  sat::SolveMemo memo;
+
+  if (opts.jobs <= 1) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       if (restoredRec[i].has_value()) {
         results[i] = restoredResult(jobs[i].cell, *restoredRec[i]);
@@ -525,7 +518,7 @@ std::vector<GridCellResult> runGridImpl(std::span<const GridJob> jobs,
         results[i] = skippedCell(jobs[i].cell);
         continue;
       }
-      results[i] = runCell(jobs[i], opts, i, shared);
+      results[i] = runCell(jobs[i], opts, i, memo);
       persistCell(i);
     }
     if (traced)
@@ -545,7 +538,7 @@ std::vector<GridCellResult> runGridImpl(std::span<const GridJob> jobs,
       continue;
     }
     done.emplace_back(i, pool.submit(token, [&, i] {
-      results[i] = runCell(jobs[i], opts, i);
+      results[i] = runCell(jobs[i], opts, i, memo);
       persistCell(i);
     }));
   }

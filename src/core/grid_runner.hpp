@@ -11,9 +11,12 @@
 // derived from it are unsynchronized by design — sharing or cross-thread
 // interning is a data race. The grid runner never passes expressions
 // between cells; the only shared state is the results vector, written at
-// disjoint indices and read after all futures are joined. Results are
-// returned in input order, so a parallel run is observationally identical
-// to the sequential one (up to wall-clock fields).
+// disjoint indices and read after all futures are joined, and one
+// mutex-guarded sat::SolveMemo per runGrid() call, through which cells with
+// a bit-identical CNF (a Table 5 column) replay one finished SAT solve.
+// Results are returned in input order, so a parallel run is observationally
+// identical to the sequential one (up to wall-clock fields and the SAT time
+// and arena peak of replayed cells).
 //
 // The one sanctioned exception lives *inside* a cell: with cellJobs > 1 a
 // cell's own workers read the cell's (frozen) context through per-worker
@@ -91,15 +94,6 @@ struct GridRunOptions {
   /// merged `manifest.json` summing stage times and counters over the grid.
   /// The directory is created if missing.
   std::string traceDir;
-  /// Share one incremental SAT session (sat/incremental.hpp) across the
-  /// grid: VSIDS activities, saved phases and retained learnt clauses
-  /// carry from cell to cell, which pays exactly where cells are closely
-  /// related (same strategy, adjacent N/width). Forces sequential
-  /// execution — the session is single-threaded by design, mirroring the
-  /// one-Context-per-cell rule — so `jobs` is treated as 1. A fallback
-  /// retry (different strategy => different variable skeleton) always runs
-  /// on a fresh solver.
-  bool incremental = false;
   /// When non-empty: after every finished (non-skipped) cell the runner
   /// atomically rewrites this checkpoint file (schema in docs/SCALING.md,
   /// versioned like manifest.json) with one record per completed cell,

@@ -382,10 +382,8 @@ std::optional<VerifyResponse> VerifyResponse::parse(std::string_view text,
   return fromJson(*v, error);
 }
 
-VerifyReport verify(const VerifyRequest& req,
-                    sat::IncrementalSession* session, sat::SolveMemo* memo) {
+VerifyReport verify(const VerifyRequest& req, sat::SolveMemo* memo) {
   VerifyOptions opts = req.options();
-  opts.satSession = session;
   opts.satMemo = memo;
   eufm::Context cx;
   const models::Isa isa = models::Isa::declare(cx);

@@ -163,14 +163,10 @@ struct VerifyResponse {
 };
 
 /// Verify the cell a request describes — the primary entry point of the
-/// library since the velev_serve API redesign. `session` optionally routes
-/// the SAT stage through a shared incremental session (the grid runner's
-/// --incremental mode); `memo` optionally consults a content-addressed
-/// solve memo first (the serve worker's batching lane — identical CNFs
-/// replay one finished solve, stats and all). Neither is ever part of the
-/// serialized request.
-VerifyReport verify(const VerifyRequest& req,
-                    sat::IncrementalSession* session = nullptr,
-                    sat::SolveMemo* memo = nullptr);
+/// library since the velev_serve API redesign. `memo` optionally consults a
+/// content-addressed solve memo first (sat/memo.hpp: identical CNFs replay
+/// one finished solve, stats and all); each serve worker passes its own.
+/// It is never part of the serialized request.
+VerifyReport verify(const VerifyRequest& req, sat::SolveMemo* memo = nullptr);
 
 }  // namespace velev::core

@@ -256,8 +256,7 @@ VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
       // Timing benches stop before CDCL, but the inprocessing pipeline
       // still runs (attributed to the SAT stage) so the before/after CNF
       // sizes land in the report — Table 4's encoding-size comparison.
-      if (opts.engine != Engine::Bdd && opts.inprocess.enabled &&
-          opts.satSession == nullptr) {
+      if (opts.engine != Engine::Bdd && opts.inprocess.enabled) {
         timer.reset();
         stage = &rep.outcome.seconds.sat;
         {
@@ -287,45 +286,32 @@ VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
       stage = &rep.outcome.seconds.sat;
       {
         TRACE_SPAN("verify.sat");
-        if (opts.satSession != nullptr) {
-          // Shared incremental session (grid runner): the session carries
-          // activities/phases/learnts across cells; this run's governor is
-          // attached only for the duration of the call.
-          opts.satSession->setBudget(&gov);
-          rep.outcome.satResult = opts.satSession->solveCell(
-              tr.cnf, {}, nullptr, &rep.satStats, &rep.inprocessStats,
-              opts.budget.satConflicts);
-          opts.satSession->setBudget(nullptr);
-          rep.inprocessed = true;
+        // An identical earlier solve replays from the memo (sat/memo.hpp),
+        // stats and all; only untripped runs store. A memory budget turns
+        // the memo off: a replay skips the SAT stage's arena charge, and
+        // the key has no memory term.
+        sat::SolveMemo* memo =
+            opts.budget.memoryBytes == 0 ? opts.satMemo : nullptr;
+        const std::uint64_t mkey =
+            memo != nullptr ? sat::SolveMemo::key(tr.cnf, opts.inprocess,
+                                                  opts.budget.satConflicts)
+                            : 0;
+        const std::optional<sat::SolveMemo::Entry> replay =
+            memo != nullptr ? memo->find(mkey) : std::nullopt;
+        if (replay.has_value()) {
+          rep.outcome.satResult = replay->result;
+          rep.satStats = replay->stats;
+          rep.inprocessStats = replay->inprocessStats;
+          rep.inprocessed = replay->inprocessed;
+          trace::counterAdd("sat.memo.hits", 1);
         } else {
-          // Content-addressed solve memo (serve batching lane): an
-          // identical CNF under identical options replays the stored
-          // result and per-call stats — bit for bit what the fresh
-          // deterministic solve below would produce. Only conclusive
-          // results are ever stored, and never from a tripped governor.
-          sat::SolveMemo* memo = opts.satMemo;
-          const std::uint64_t mkey =
-              memo != nullptr ? sat::SolveMemo::key(tr.cnf, opts.inprocess,
-                                                    opts.budget.satConflicts)
-                              : 0;
-          const sat::SolveMemo::Entry* replay =
-              memo != nullptr ? memo->find(mkey) : nullptr;
-          if (replay != nullptr) {
-            rep.outcome.satResult = replay->result;
-            rep.satStats = replay->stats;
-            rep.inprocessStats = replay->inprocessStats;
-            rep.inprocessed = replay->inprocessed;
-            if (trace::Collector* c = trace::active())
-              c->addCounter("sat.memo.hits", 1);
-          } else {
-            rep.outcome.satResult = sat::solveCnfInprocessed(
-                tr.cnf, opts.inprocess, nullptr, &rep.satStats,
-                opts.budget.satConflicts, nullptr, &gov, &rep.inprocessStats);
-            rep.inprocessed = opts.inprocess.enabled;
-            if (memo != nullptr && !gov.exceeded())
-              memo->store(mkey, {rep.outcome.satResult, rep.satStats,
-                                 rep.inprocessStats, rep.inprocessed});
-          }
+          rep.outcome.satResult = sat::solveCnfInprocessed(
+              tr.cnf, opts.inprocess, nullptr, &rep.satStats,
+              opts.budget.satConflicts, nullptr, &gov, &rep.inprocessStats);
+          rep.inprocessed = opts.inprocess.enabled;
+          if (memo != nullptr && !gov.exceeded())
+            memo->store(mkey, {rep.outcome.satResult, rep.satStats,
+                               rep.inprocessStats, rep.inprocessed});
         }
       }
       rep.outcome.seconds.sat = timer.seconds();

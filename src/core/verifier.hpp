@@ -26,7 +26,7 @@
 #include "evc/translate.hpp"
 #include "models/ooo.hpp"
 #include "rewrite/engine.hpp"
-#include "sat/incremental.hpp"
+#include "sat/memo.hpp"
 #include "sat/simplify.hpp"
 #include "sat/solver.hpp"
 #include "support/budget.hpp"
@@ -86,20 +86,12 @@ struct VerifyOptions {
   /// default; `--no-inprocess` clears `inprocess.enabled`. Ignored by the
   /// BDD-only engine (which never builds clause databases).
   sat::InprocessOptions inprocess;
-  /// When set, the SAT stage solves through this shared incremental
-  /// session (activation-selector encoding) instead of a fresh solver —
-  /// the grid runner passes one session per strategy so VSIDS activity,
-  /// saved phases and retained learnt clauses carry across cells. The
-  /// session's own InprocessOptions govern simplification; the run's
-  /// governor is attached for the duration of the call. Not owned.
-  sat::IncrementalSession* satSession = nullptr;
-  /// When set (and satSession is not), the SAT stage consults this
-  /// content-addressed memo of finished solves first: a bit-identical CNF
-  /// under identical options replays the stored result AND the stored
-  /// per-call stats — exactly what a fresh deterministic solve would have
-  /// produced. The serve batching lane hangs one memo per worker process,
-  /// so Table 5 size-independent cells (same width, different ROB size)
-  /// pay for one SAT solve per column. Single-threaded; not owned.
+  /// When set, the SAT stage consults this content-addressed memo of
+  /// finished solves first (sat/memo.hpp): a bit-identical CNF under
+  /// identical options replays the stored result and per-call stats, so
+  /// verdicts and counters match a fresh solve. Ignored under a memory
+  /// budget, where a replay could say `correct` for a run that would trip
+  /// `memout`. Thread-safe; not owned.
   sat::SolveMemo* satMemo = nullptr;
   /// Worker threads available *inside* this one verification: with jobs > 1
   /// a private pool shards the rewrite slice checks (per-slice
@@ -226,11 +218,11 @@ std::vector<std::pair<std::string, std::uint64_t>> reportCounters(
 /// models (lets benchmarks and the fuzz oracles reuse the expensive model
 /// construction and inspect the expressions). This is the low-level
 /// expanded-options entry point — VerifyOptions can carry state a
-/// serializable request cannot (a shared sat::IncrementalSession, a
-/// SolveMemo, non-default inprocessing knobs); request-driven callers go
-/// through verify(const VerifyRequest&) in core/request.hpp, the single
-/// request representation shared by the CLI, the grid runner, the benches
-/// and the velev_serve daemon.
+/// serializable request cannot (a SolveMemo, non-default inprocessing
+/// knobs); request-driven callers go through verify(const VerifyRequest&,
+/// sat::SolveMemo*) in core/request.hpp, the single request representation
+/// shared by the CLI, the grid runner, the benches and the velev_serve
+/// daemon.
 VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
                         models::OoOProcessor& impl,
                         models::SpecProcessor& spec,

@@ -24,9 +24,6 @@ Options portfolioInstanceOptions(const PortfolioOptions& opts, unsigned i) {
 Result solvePortfolio(const prop::Cnf& cnf, const PortfolioOptions& opts,
                       PortfolioReport* report) {
   const unsigned k = std::max(1u, opts.instances);
-  // Warm-start clauses are learnt consequences, not axioms of the formula
-  // — a DRAT proof built on top of them would not check against `cnf`.
-  VELEV_CHECK(!(opts.wantProof && !opts.warmStart.empty()));
   Timer timer;
 
   // Shared inprocessing front end: simplify once, race everyone on the
@@ -58,7 +55,6 @@ Result solvePortfolio(const prop::Cnf& cnf, const PortfolioOptions& opts,
     std::vector<bool> model;
     Proof proof;
     prop::Clause failed;
-    std::vector<prop::Clause> retained;
   };
   std::vector<Slot> slots(k);
   std::atomic<bool> cancel{false};
@@ -78,14 +74,7 @@ Result solvePortfolio(const prop::Cnf& cnf, const PortfolioOptions& opts,
     solver.ensureVars(problem->numVars);
     bool ok = true, aborted = false;
     std::size_t loaded = 0;
-    for (const auto& c : opts.warmStart) {
-      if (!solver.addClause(c)) {
-        ok = false;
-        break;
-      }
-    }
     for (const auto& c : problem->clauses) {
-      if (!ok) break;
       if (solver.cancelled() ||
           ((++loaded & 0xfffu) == 0 && solver.pollBudget())) {
         aborted = true;
@@ -107,8 +96,6 @@ Result solvePortfolio(const prop::Cnf& cnf, const PortfolioOptions& opts,
         slot.model[v] = solver.modelValue(v);
     }
     if (r == Result::Unsat) slot.failed = solver.failedAssumptions();
-    if (r != Result::Unknown && opts.exportLearnts)
-      slot.retained = solver.retainedLearnts();
     slot.result = r;
     if (r != Result::Unknown) {
       int expected = -1;
@@ -148,7 +135,6 @@ Result solvePortfolio(const prop::Cnf& cnf, const PortfolioOptions& opts,
       report->winnerStats = ws.stats;
       report->model = std::move(ws.model);
       report->failedAssumptions = std::move(ws.failed);
-      report->retainedLearnts = std::move(ws.retained);
       if (ws.result == Result::Sat && opts.inprocess.enabled)
         simplified.recon.extend(report->model);
       if (opts.wantProof && opts.inprocess.enabled) {

@@ -54,15 +54,6 @@ struct PortfolioOptions {
     o.enabled = false;
     return o;
   }();
-  /// Warm-start clauses: a retained-learnt snapshot exported by a previous
-  /// race on the SAME formula (Solver::retainedLearnts() semantics — every
-  /// clause must be implied by `cnf`). Loaded into every instance before
-  /// its problem clauses. Incompatible with wantProof: learnt clauses are
-  /// not single-step RUP against the bare formula.
-  std::vector<prop::Clause> warmStart;
-  /// Export the winner's retained learnt clauses into the report (for the
-  /// next race's warmStart).
-  bool exportLearnts = false;
 };
 
 struct PortfolioReport {
@@ -77,7 +68,6 @@ struct PortfolioReport {
   double seconds = 0;            // wall time of the whole race
   prop::Clause failedAssumptions;    // winner's, after an assumption Unsat
   InprocessStats inprocessStats;     // of the shared front-end run
-  std::vector<prop::Clause> retainedLearnts;  // winner's (exportLearnts)
 };
 
 /// Solver options of portfolio instance `i` (exposed for the determinism

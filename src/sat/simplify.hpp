@@ -1,5 +1,5 @@
-// CNF inprocessing: the classic simplification passes applied between (or
-// before) incremental solve calls, with a model-reconstruction stack.
+// CNF inprocessing: the classic simplification passes applied to a CNF
+// before it is solved, with a model-reconstruction stack.
 //
 // The e_ij encodings of the Burch–Dill correctness formulas are large and
 // highly redundant (Bryant–German–Velev): Tseitin definitions that collapse
@@ -23,10 +23,10 @@
 // simplified CNF into a model of the original CNF over ALL original
 // variables — counterexample decoding (fuzz/decode.cpp) reads primary
 // inputs from the model, so the extension is not optional. Frozen
-// variables (assumption literals, activation selectors) are never
-// eliminated or substituted, which keeps assumption-conditional
-// equisatisfiability: for every assignment of the frozen variables, the
-// simplified and original CNFs agree on satisfiability.
+// variables (assumption literals) are never eliminated or substituted,
+// which keeps assumption-conditional equisatisfiability: for every
+// assignment of the frozen variables, the simplified and original CNFs
+// agree on satisfiability.
 //
 // PROOF CONTRACT. With a Proof attached, every added clause is RUP with
 // respect to the checker database at that point (resolvents, strengthened

@@ -41,7 +41,6 @@ void Solver::ensureVars(std::uint32_t numVars) {
     polarity_.push_back(opts_.randomInitPhase ? (rng_.coin() ? 1 : 0) : 1);
     level_.push_back(0);
     reason_.push_back(kCRefUndef);
-    frozen_.push_back(0);
     activity_.push_back(0.0);
     heapPos_.push_back(-1);
     seen_.push_back(0);
@@ -395,40 +394,6 @@ void Solver::reduceDb() {
   learntRefs_ = std::move(kept);
 }
 
-void Solver::purgeSatisfiedAtLevelZero() {
-  if (!okay_) return;
-  backtrack(0);
-  // Some removed clauses may be the reasons of level-0 assignments.
-  // Conflict analysis never dereferences a level-0 reason (analyze and
-  // litRedundant both skip level-0 literals), but clear them anyway so no
-  // dangling reference survives.
-  for (const Lit l : trail_) reason_[varOf(l)] = kCRefUndef;
-  const auto satisfied = [&](CRef c) {
-    const Lit* ls = clauseLits(c);
-    const std::uint32_t n = clauseSize(c);
-    for (std::uint32_t i = 0; i < n; ++i)
-      if (valueLit(ls[i]) == LBool::True) return true;
-    return false;
-  };
-  const auto sweep = [&](std::vector<CRef>& refs) {
-    std::vector<CRef> kept;
-    kept.reserve(refs.size());
-    for (const CRef c : refs) {
-      if (satisfied(c)) {
-        if (proof_)
-          proof_->del(toDimacs({clauseLits(c), clauseSize(c)}));
-        detachClause(c);
-        ++stats_.removedClauses;
-      } else {
-        kept.push_back(c);
-      }
-    }
-    refs = std::move(kept);
-  };
-  sweep(problemRefs_);
-  sweep(learntRefs_);
-}
-
 void Solver::setBudget(BudgetGovernor* governor) {
   budget_ = governor;
   budgetSource_ = governor != nullptr ? governor->registerSource() : -1;
@@ -563,32 +528,6 @@ void Solver::analyzeFinal(Lit p) {
 bool Solver::modelValue(std::uint32_t dimacsVar) const {
   VELEV_CHECK(dimacsVar >= 1 && dimacsVar <= nVars_);
   return assigns_[dimacsVar - 1] == LBool::True;
-}
-
-void Solver::freeze(std::uint32_t dimacsVar) {
-  VELEV_CHECK(dimacsVar >= 1 && dimacsVar <= nVars_);
-  frozen_[dimacsVar - 1] = 1;
-}
-
-bool Solver::isFrozen(std::uint32_t dimacsVar) const {
-  VELEV_CHECK(dimacsVar >= 1 && dimacsVar <= nVars_);
-  return frozen_[dimacsVar - 1] != 0;
-}
-
-std::vector<std::uint32_t> Solver::frozenVars() const {
-  std::vector<std::uint32_t> out;
-  for (std::uint32_t v = 0; v < nVars_; ++v)
-    if (frozen_[v] != 0) out.push_back(v + 1);
-  return out;
-}
-
-std::vector<prop::Clause> Solver::retainedLearnts(std::uint32_t maxLbd) const {
-  std::vector<prop::Clause> out;
-  for (const CRef c : learntRefs_) {
-    if (arena_[c + 1] > maxLbd) continue;
-    out.push_back(toDimacs({clauseLits(c), clauseSize(c)}));
-  }
-  return out;
 }
 
 // ---- indexed binary min-heap on -activity (max-activity at root) -----------

@@ -95,30 +95,6 @@ class Solver {
   /// After Result::Sat: value of a DIMACS variable (1-based).
   bool modelValue(std::uint32_t dimacsVar) const;
 
-  /// Frozen-variable bookkeeping for the inprocessing passes: a frozen
-  /// variable has external meaning (assumption literal, activation
-  /// selector, a variable the caller will read from the model of a later
-  /// call) and must never be eliminated or substituted away. The solver
-  /// itself only records the set; sat::inprocess() consumes it.
-  void freeze(std::uint32_t dimacsVar);
-  bool isFrozen(std::uint32_t dimacsVar) const;
-  std::vector<std::uint32_t> frozenVars() const;
-
-  /// Snapshot of the retained learnt clauses with LBD <= maxLbd, in DIMACS
-  /// form. Every returned clause is implied by the problem clauses added so
-  /// far (CDCL learnt clauses are consequences of the database), so the
-  /// snapshot can warm-start another solver on the same formula.
-  std::vector<prop::Clause> retainedLearnts(std::uint32_t maxLbd = 6) const;
-  std::size_t numLearnts() const { return learntRefs_.size(); }
-  std::size_t numProblemClauses() const { return problemRefs_.size(); }
-
-  /// Remove every clause satisfied by the level-0 assignment from the
-  /// database and the watch lists — how an incremental session reclaims a
-  /// retired call's clauses (the permanent ¬s_i unit satisfies them). The
-  /// arena is not compacted; what matters is that propagation stops
-  /// visiting the dead clauses. Emits proof deletions for the removals.
-  void purgeSatisfiedAtLevelZero();
-
   /// Attach a DRAT proof log (must outlive the solver; set before adding
   /// clauses). On an Unsat result the proof ends with the empty clause and
   /// can be certified with checkRup().
@@ -253,7 +229,6 @@ class Solver {
 
   std::vector<Lit> assumptions_;  // of the solve() call in flight
   prop::Clause failed_;           // last failed-assumption clause (DIMACS)
-  std::vector<char> frozen_;      // per-variable freeze marks
 
   bool okay_ = true;
   std::int64_t conflictsUntilReduce_ = 0;

@@ -9,7 +9,7 @@
 #include <string>
 
 #include "core/request.hpp"
-#include "sat/incremental.hpp"
+#include "sat/memo.hpp"
 #include "support/json.hpp"
 #include "support/subprocess.hpp"
 #include "support/timer.hpp"
@@ -28,7 +28,7 @@ core::VerifyResponse runOne(const core::VerifyRequest& req,
                             sat::SolveMemo* memo) {
   try {
     Timer t;
-    const core::VerifyReport rep = core::verify(req, nullptr, memo);
+    const core::VerifyReport rep = core::verify(req, memo);
     return core::VerifyResponse::fromReport(req, rep, t.seconds());
   } catch (const std::exception& e) {
     return core::VerifyResponse::makeError(req.id, e.what());

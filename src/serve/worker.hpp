@@ -22,10 +22,10 @@
 // handling beyond "exit on EOF".
 //
 // One content-addressed sat::SolveMemo lives for the worker's lifetime and
-// backs every verification: batch members whose rewritten CNF is
-// bit-identical (the paper's Table 5 — same issue width, any ROB size)
-// replay one finished solve, result and counters exactly as a fresh solve
-// would produce them.
+// backs every verification without a memory budget: batch members whose
+// rewritten CNF is bit-identical (the paper's Table 5 — same issue width,
+// any ROB size) replay one finished solve, result and counters exactly as a
+// fresh solve would produce them.
 //
 // TEST HOOK: crashAfter = N (the `--crash-after N` flag, armed by the
 // supervisor's WorkerPoolOptions::crashAfter for the first spawn of worker

@@ -1,15 +1,19 @@
 // Tests for the parallel grid runner: parallel runs must be
 // observationally identical to sequential runs (same verdicts, same CNF
-// statistics, input order preserved), cancellation must stop queued cells,
-// and makeGrid/makeGridRequests must drop impossible configurations.
+// statistics, input order preserved), the grid's shared solve memo must not
+// change any verdict or counter, cancellation must stop queued cells, and
+// makeGrid/makeGridRequests must drop impossible configurations.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/grid_runner.hpp"
+#include "support/json.hpp"
 
 namespace velev::core {
 namespace {
@@ -145,50 +149,77 @@ TEST(Grid, CancelledBeforeRunSkipsEveryCell) {
   }
 }
 
+// The two tests below are named after the incremental SAT session that
+// the grid's shared solve memo replaced; they check the same properties of
+// cross-cell SAT reuse.
+
 TEST(Grid, IncrementalSessionVerdictsIdenticalToFreshRuns) {
-  // One shared incremental SAT session across the cells (sequential by
-  // construction) must judge every cell exactly like fresh per-cell
-  // solvers — same verdicts, same translated formulas — while actually
-  // reusing the session (inprocessing stats recorded per cell).
-  const auto cells = makeGridRequests(std::vector<unsigned>{2, 3, 4},
-                                      std::vector<unsigned>{1, 2});
+  // One runGrid() call shares one sat::SolveMemo across its cells at any
+  // `jobs`. After rewriting, a width-2 column's CNF does not depend on the
+  // ROB size (Table 5), so later cells replay an earlier solve. The replay
+  // must not show in verdicts or in the full reportCounters() block, and it
+  // must really happen: a later cell's manifest carries `sat.memo.hits`.
+  const std::vector<VerifyRequest> cells = makeGridRequests(
+      std::vector<unsigned>{4, 6, 8, 10, 12}, std::vector<unsigned>{2});
+  std::vector<VerifyReport> fresh;
+  for (const VerifyRequest& req : cells) fresh.push_back(verify(req));
 
-  GridRunOptions fresh;
-  const auto baseline = runGrid(cells, fresh);
+  for (const unsigned jobs : {1u, 3u}) {
+    GridRunOptions opts;
+    opts.jobs = jobs;
+    opts.traceDir = (std::filesystem::temp_directory_path() /
+                     ("velev_grid_test_memo_jobs" + std::to_string(jobs)))
+                        .string();
+    std::filesystem::remove_all(opts.traceDir);
+    const auto results = runGrid(cells, opts);
+    ASSERT_EQ(results.size(), cells.size());
 
-  GridRunOptions inc;
-  inc.incremental = true;
-  const auto shared = runGrid(cells, inc);
-
-  ASSERT_EQ(shared.size(), baseline.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(shared[i].cell.robSize, cells[i].robSize);
-    EXPECT_EQ(shared[i].report.verdict(), baseline[i].report.verdict());
-    EXPECT_EQ(shared[i].report.verdict(), Verdict::Correct);
-    EXPECT_EQ(shared[i].report.evcStats.cnfVars,
-              baseline[i].report.evcStats.cnfVars);
-    EXPECT_EQ(shared[i].report.evcStats.cnfClauses,
-              baseline[i].report.evcStats.cnfClauses);
-    EXPECT_TRUE(shared[i].report.inprocessed);
-    EXPECT_GT(shared[i].report.inprocessStats.clausesBefore, 0u);
+    std::size_t replayed = 0;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      EXPECT_EQ(results[i].report.verdict(), Verdict::Correct)
+          << "jobs " << jobs << " cell " << i;
+      EXPECT_EQ(reportCounters(results[i].report), reportCounters(fresh[i]))
+          << "jobs " << jobs << " cell " << i;
+      std::ifstream in(opts.traceDir + "/cell_" + std::to_string(i) + "_" +
+                       std::to_string(cells[i].robSize) + "x2.manifest.json");
+      std::stringstream ss;
+      ss << in.rdbuf();
+      const std::optional<JsonValue> m = parseJson(ss.str());
+      ASSERT_TRUE(m.has_value() && m->find("counters") != nullptr)
+          << "jobs " << jobs << " cell " << i;
+      if (m->find("counters")->uintAt("sat.memo.hits") > 0) ++replayed;
+    }
+    EXPECT_GE(replayed, 1u) << "jobs " << jobs;
   }
 }
 
 TEST(Grid, IncrementalSessionCatchesInjectedBug) {
-  // A buggy cell in the middle of a shared-session sweep must still be
-  // flagged, and the later correct cell must not be contaminated by it.
-  std::vector<VerifyRequest> cells =
-      makeGridRequests(std::vector<unsigned>{4}, std::vector<unsigned>{2});
-  cells.push_back(cells[0]);
-  cells.push_back(cells[0]);
-  cells[1].bug.kind = models::BugKind::ForwardingWrongOperand;
-  cells[1].bug.index = 2;
-  GridRunOptions opts;
-  opts.incremental = true;
-  const auto results = runGrid(cells, opts);
-  EXPECT_EQ(results[0].report.verdict(), Verdict::Correct);
-  EXPECT_EQ(results[1].report.verdict(), Verdict::RewriteMismatch);
-  EXPECT_EQ(results[2].report.verdict(), Verdict::Correct);
+  // A fwd:2 bug cell in the middle of a column that otherwise shares one
+  // CNF must still be flagged, and the correct cells after it must not be
+  // contaminated by its memo miss: every verdict and reportCounters()
+  // block equals a fresh core::verify().
+  std::vector<VerifyRequest> cells = makeGridRequests(
+      std::vector<unsigned>{4, 6, 8, 10}, std::vector<unsigned>{2});
+  VerifyRequest buggy = cells[1];
+  buggy.bug.kind = models::BugKind::ForwardingWrongOperand;
+  buggy.bug.index = 2;
+  cells.insert(cells.begin() + 2, buggy);
+  std::vector<VerifyReport> fresh;
+  for (const VerifyRequest& req : cells) fresh.push_back(verify(req));
+
+  for (const unsigned jobs : {1u, 3u}) {
+    GridRunOptions opts;
+    opts.jobs = jobs;
+    const auto results = runGrid(cells, opts);
+    ASSERT_EQ(results.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      EXPECT_EQ(results[i].report.verdict(),
+                i == 2 ? Verdict::RewriteMismatch : Verdict::Correct)
+          << "jobs " << jobs << " cell " << i;
+      EXPECT_EQ(reportCounters(results[i].report), reportCounters(fresh[i]))
+          << "jobs " << jobs << " cell " << i;
+    }
+  }
 }
 
 TEST(Grid, CheckpointResumeRestoresEveryFinishedCell) {

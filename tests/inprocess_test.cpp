@@ -1,11 +1,11 @@
-// Tests for the CNF inprocessing pipeline (src/sat/simplify) and the
-// incremental session built on it: every pass — individually and composed
-// — must preserve satisfiability (cross-checked against the untouched
-// solver, brute force, and the BDD engine), Sat models of the simplified
-// CNF must reconstruct to models of the ORIGINAL CNF, frozen variables
-// must keep assumption-conditional equisatisfiability, and the checked-in
-// fuzz corpus must decode identically with the front end on and off. The
-// simplifier's exact output on the benchmark's SAT cells is pinned.
+// Tests for the CNF inprocessing pipeline (src/sat/simplify): every pass —
+// individually and composed — must preserve satisfiability (cross-checked
+// against the untouched solver, brute force, and the BDD engine), Sat
+// models of the simplified CNF must reconstruct to models of the ORIGINAL
+// CNF, frozen variables must keep assumption-conditional
+// equisatisfiability, and the checked-in fuzz corpus must decode
+// identically with the front end on and off. The simplifier's exact output
+// on the benchmark's SAT cells is pinned.
 #include <gtest/gtest.h>
 
 #include <algorithm>

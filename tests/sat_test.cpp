@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "prop/cnf.hpp"
-#include "sat/incremental.hpp"
 #include "sat/solver.hpp"
 #include "support/rng.hpp"
 
@@ -275,164 +274,6 @@ TEST(Sat, AssumptionVerdictsMatchAddedUnits) {
     for (const prop::CnfLit a : assume) withUnits.addClause({a});
     EXPECT_EQ(viaAssumptions, solveCnf(withUnits)) << "iter " << iter;
   }
-}
-
-// ---- incremental sessions ---------------------------------------------------
-
-std::vector<Cnf> randomCellSequence(Rng& rng, unsigned cells) {
-  // Related formulas over a shared variable skeleton, the way grid cells
-  // of one strategy share their low-numbered netlist variables.
-  std::vector<Cnf> out;
-  for (unsigned i = 0; i < cells; ++i) {
-    Cnf cnf;
-    cnf.numVars = 10 + 2 * i;
-    const unsigned m = 25 + rng.below(20) + 4 * i;
-    for (unsigned j = 0; j < m; ++j) {
-      Clause c;
-      const unsigned len = 1 + rng.below(4);
-      for (unsigned k = 0; k < len; ++k) {
-        const int v = 1 + static_cast<int>(rng.below(cnf.numVars));
-        c.push_back(rng.coin() ? v : -v);
-      }
-      cnf.addClause(c);
-    }
-    out.push_back(std::move(cnf));
-  }
-  return out;
-}
-
-TEST(Sat, IncrementalSessionMatchesFreshSolverPerCell) {
-  Rng rng(1111);
-  const std::vector<Cnf> cells = randomCellSequence(rng, 8);
-  IncrementalSession session;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    std::vector<bool> model;
-    const Result inc = session.solveCell(cells[i], {}, &model);
-    const Result fresh = solveCnf(cells[i]);
-    EXPECT_EQ(inc, fresh) << "cell " << i;
-    if (inc == Result::Sat) {
-      ASSERT_GE(model.size(), cells[i].numVars + 1u);
-      for (const auto& c : cells[i].clauses) {
-        bool sat = false;
-        for (CnfLit l : c)
-          sat |= (l > 0) == model[static_cast<unsigned>(std::abs(l))];
-        EXPECT_TRUE(sat) << "cell " << i;
-      }
-    }
-  }
-  EXPECT_EQ(session.calls(), cells.size());
-}
-
-TEST(Sat, IncrementalSessionIsDeterministic) {
-  // The same cell sequence through two fresh sessions must produce
-  // byte-identical verdicts, per-call conflict counts, and retained-
-  // clause statistics (solver runs are deterministic; the session must
-  // not leak nondeterminism through the selector encoding).
-  std::vector<Result> verdicts[2];
-  std::vector<std::uint64_t> conflicts[2];
-  std::vector<std::size_t> retained[2];
-  for (unsigned run = 0; run < 2; ++run) {
-    Rng rng(3333);  // same sequence both runs
-    const std::vector<Cnf> cells = randomCellSequence(rng, 8);
-    IncrementalSession session;
-    for (const Cnf& cell : cells) {
-      Stats st;
-      verdicts[run].push_back(session.solveCell(cell, {}, nullptr, &st));
-      conflicts[run].push_back(st.conflicts);
-      retained[run].push_back(session.retainedLearntCount());
-    }
-    if (run == 1) {
-      EXPECT_EQ(verdicts[0], verdicts[1]);
-      EXPECT_EQ(conflicts[0], conflicts[1]);
-      EXPECT_EQ(retained[0], retained[1]);
-    }
-  }
-}
-
-TEST(Sat, IncrementalSessionUnsatCellDoesNotPoisonLaterCells) {
-  IncrementalSession session;
-  Cnf unsat;
-  unsat.numVars = 2;
-  unsat.addClause({1});
-  unsat.addClause({-1, 2});
-  unsat.addClause({-2});
-  EXPECT_EQ(session.solveCell(unsat), Result::Unsat);
-
-  Cnf sat;
-  sat.numVars = 2;
-  sat.addClause({1, 2});
-  std::vector<bool> model;
-  EXPECT_EQ(session.solveCell(sat, {}, &model), Result::Sat);
-  EXPECT_TRUE(model[1] || model[2]);
-}
-
-TEST(Sat, IncrementalSessionFailedAssumptionsInCellSpace) {
-  IncrementalSession session;
-  Cnf cnf;
-  cnf.numVars = 3;
-  cnf.addClause({-1, 2});
-  cnf.addClause({-2, 3});
-  const prop::CnfLit assume[] = {1, -3};
-  EXPECT_EQ(session.solveCell(cnf, assume), Result::Unsat);
-  const prop::Clause& failed = session.failedAssumptions();
-  EXPECT_FALSE(failed.empty());
-  // Mapped back to CELL literals: the internal selector (even session
-  // variable) must never leak out.
-  for (const prop::CnfLit l : failed)
-    EXPECT_TRUE(l == -1 || l == 3) << l;
-  // Same cell, compatible assumptions: Sat, model in cell space.
-  const prop::CnfLit fine[] = {1};
-  std::vector<bool> model;
-  EXPECT_EQ(session.solveCell(cnf, fine, &model), Result::Sat);
-  EXPECT_TRUE(model[1] && model[2] && model[3]);
-}
-
-TEST(Sat, IncrementalSessionReusesLearntsAcrossCalls) {
-  // Re-solving the SAME hard formula must get cheaper: retained clauses,
-  // activities and phases carry over, so later calls conflict less.
-  Rng rng(97);
-  Cnf cnf;
-  cnf.numVars = 40;
-  for (int i = 0; i < 180; ++i) {
-    Clause c;
-    for (int j = 0; j < 3; ++j) {
-      const int v = 1 + static_cast<int>(rng.below(40));
-      c.push_back(rng.coin() ? v : -v);
-    }
-    cnf.addClause(c);
-  }
-  IncrementalSession session;
-  Stats first, second;
-  const Result r1 = session.solveCell(cnf, {}, nullptr, &first);
-  const Result r2 = session.solveCell(cnf, {}, nullptr, &second);
-  EXPECT_EQ(r1, r2);
-  EXPECT_LE(second.conflicts, first.conflicts);
-  // The identical formula is recognized and served through the still-
-  // active selector: nothing reloaded, learnt clauses still live.
-  EXPECT_EQ(session.reusedCalls(), 1u);
-}
-
-TEST(Sat, IncrementalSessionGrowsVariableSpaceAcrossCells) {
-  // Regression: a later cell with MORE variables than any earlier one must
-  // grow the shared solver's variable space (ensureVars takes a total, not
-  // a delta). Inprocessing is disabled so the high variables are guaranteed
-  // to reach the solver — with it on, elimination used to mask the bug.
-  InprocessOptions off;
-  off.enabled = false;
-  IncrementalSession session({}, off);
-  for (const unsigned n : {4u, 9u, 23u, 57u}) {
-    Cnf cnf;
-    cnf.numVars = n;
-    // Force the top variable into a clause on every cell.
-    cnf.addClause({static_cast<CnfLit>(n), 1});
-    cnf.addClause({-static_cast<CnfLit>(n), 2});
-    cnf.addClause({-1, -2});
-    std::vector<bool> model;
-    ASSERT_EQ(session.solveCell(cnf, {}, &model), Result::Sat) << n;
-    const bool top = model[n], a = model[1], b = model[2];
-    EXPECT_TRUE((top || a) && (!top || b) && (!a || !b)) << n;
-  }
-  EXPECT_EQ(session.calls(), 4u);
 }
 
 }  // namespace

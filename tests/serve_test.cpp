@@ -18,12 +18,13 @@
 #include <fstream>
 #include <functional>
 #include <future>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/request.hpp"
-#include "sat/incremental.hpp"
+#include "sat/memo.hpp"
 #include "serve/cache.hpp"
 #include "serve/client.hpp"
 #include "serve/journal.hpp"
@@ -558,7 +559,7 @@ TEST(ServeMemo, ReplaysStoredResultAndStats) {
       sat::SolveMemo::key(cnf, sat::InprocessOptions{}, -1);
 
   sat::SolveMemo memo;
-  EXPECT_EQ(memo.find(k), nullptr);
+  EXPECT_FALSE(memo.find(k).has_value());
 
   sat::SolveMemo::Entry e;
   e.result = sat::Result::Sat;
@@ -567,8 +568,8 @@ TEST(ServeMemo, ReplaysStoredResultAndStats) {
   e.inprocessed = true;
   memo.store(k, e);
 
-  const auto* hit = memo.find(k);
-  ASSERT_NE(hit, nullptr);
+  const std::optional<sat::SolveMemo::Entry> hit = memo.find(k);
+  ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->result, sat::Result::Sat);
   EXPECT_EQ(hit->stats.decisions, 7u);
   EXPECT_EQ(hit->stats.conflicts, 3u);
@@ -582,7 +583,7 @@ TEST(ServeMemo, RefusesUnknownAndEvictsFifo) {
 
   // Unknown results (budget-tripped solves) are never memoized.
   memo.store(1, {});
-  EXPECT_EQ(memo.find(1), nullptr);
+  EXPECT_FALSE(memo.find(1).has_value());
   EXPECT_EQ(memo.size(), 0u);
 
   sat::SolveMemo::Entry e;
@@ -591,9 +592,9 @@ TEST(ServeMemo, RefusesUnknownAndEvictsFifo) {
   memo.store(2, e);
   memo.store(3, e);  // FIFO: evicts key 1
   EXPECT_EQ(memo.size(), 2u);
-  EXPECT_EQ(memo.find(1), nullptr);
-  EXPECT_NE(memo.find(2), nullptr);
-  EXPECT_NE(memo.find(3), nullptr);
+  EXPECT_FALSE(memo.find(1).has_value());
+  EXPECT_TRUE(memo.find(2).has_value());
+  EXPECT_TRUE(memo.find(3).has_value());
 }
 
 TEST(ServeMemo, KeyTracksCnfOptionsAndBudget) {
@@ -621,14 +622,44 @@ TEST(ServeMemo, VerifyWithMemoMatchesFreshVerify) {
   const core::VerifyReport plain = core::verify(req);
 
   sat::SolveMemo memo;
-  const core::VerifyReport first = core::verify(req, nullptr, &memo);
-  const core::VerifyReport second = core::verify(req, nullptr, &memo);
+  const core::VerifyReport first = core::verify(req, &memo);
+  const core::VerifyReport second = core::verify(req, &memo);
   EXPECT_GE(memo.hits(), 1u);
 
   EXPECT_EQ(first.verdict(), plain.verdict());
   EXPECT_EQ(core::reportCounters(first), core::reportCounters(plain));
   EXPECT_EQ(second.verdict(), plain.verdict());
   EXPECT_EQ(core::reportCounters(second), core::reportCounters(plain));
+}
+
+TEST(ServeMemo, MemoryBudgetTurnsTheMemoOff) {
+  // A replay skips the SAT stage's arena charge and the memo key has no
+  // memory term, so under a memory budget a replay could say `correct`
+  // where a fresh run says `memout`. Budget: one byte below 256x16's
+  // unbudgeted arena peak, so a fresh 256x16 trips; 16x16 shares its
+  // rewritten CNF (Table 5) and fits.
+  core::VerifyRequest small = smallRequest();
+  small.robSize = 16;
+  small.issueWidth = 16;
+  core::VerifyRequest big = small;
+  big.robSize = 256;
+  const std::size_t peak = core::verify(big).outcome.peakArenaBytes;
+  small.memoryBudgetBytes = big.memoryBudgetBytes = peak - 1;
+
+  // The fresh run trips in the SAT stage, after the translation: exactly
+  // where a memo replay would have been served.
+  const core::VerifyReport fresh = core::verify(big);
+  ASSERT_EQ(fresh.verdict(), core::Verdict::MemOut);
+  ASSERT_GT(fresh.evcStats.cnfClauses, 0u);
+  ASSERT_GT(fresh.outcome.seconds.sat, 0.0);
+
+  sat::SolveMemo memo;
+  EXPECT_EQ(core::verify(small, &memo).verdict(), core::Verdict::Correct);
+  const core::VerifyReport viaMemo = core::verify(big, &memo);
+  EXPECT_EQ(viaMemo.verdict(), core::Verdict::MemOut);
+  EXPECT_EQ(core::reportCounters(viaMemo), core::reportCounters(fresh));
+  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_EQ(memo.hits(), 0u);
 }
 
 // ---- persistent cache journal -----------------------------------------------

@@ -11,6 +11,11 @@
    construction) must be documented in EXPERIMENTS.md by its literal
    output filename — a new bench may not land without its experiments
    section. `<name>_no_inprocess` variants count as their base name.
+4. Every trace span or counter name passed as a string literal to
+   TRACE_SPAN, TRACE_COUNTER, counterAdd/Set/Max or
+   addCounter/setCounter/maxCounter under src/ and tools/ must appear in
+   backticks in docs/TRACE_FORMAT.md. Names built at run time are
+   documented by hand.
 
 Exits non-zero with one line per problem.
 """
@@ -88,6 +93,30 @@ def check_bench_coverage(errors):
                 )
 
 
+# The first argument of a trace call when it is a string literal; \s* spans
+# a call whose argument list wraps onto the next line.
+TRACE_NAME_RE = re.compile(
+    r'\b(?:TRACE_SPAN|TRACE_COUNTER|counter(?:Add|Set|Max)|'
+    r'(?:add|set|max)Counter)\s*\(\s*"([^"]+)"'
+)
+
+
+def check_trace_names(errors):
+    trace_doc = REPO / "docs" / "TRACE_FORMAT.md"
+    if not trace_doc.is_file():
+        errors.append("docs/TRACE_FORMAT.md is missing")
+        return
+    text = trace_doc.read_text(encoding="utf-8")
+    for top in ("src", "tools"):
+        for src in sorted((REPO / top).rglob("*.[ch]pp")):
+            names = set(TRACE_NAME_RE.findall(src.read_text(encoding="utf-8")))
+            for name in sorted(n for n in names if f"`{n}`" not in text):
+                errors.append(
+                    f"{src.relative_to(REPO)}: trace name `{name}` is not "
+                    f"documented in docs/TRACE_FORMAT.md"
+                )
+
+
 def main():
     errors = []
     files = doc_files()
@@ -97,6 +126,7 @@ def main():
         check_links(f, errors)
     check_architecture_coverage(errors)
     check_bench_coverage(errors)
+    check_trace_names(errors)
     if errors:
         for e in errors:
             print(f"check_docs: {e}", file=sys.stderr)

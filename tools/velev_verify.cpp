@@ -14,7 +14,11 @@
 //   --grid SPEC       verify a whole grid instead of one configuration.
 //                     SPEC is either "sizes=A,B,..;widths=X,Y,.." (cross
 //                     product, cells with width > size dropped) or an
-//                     explicit cell list "NxK,NxK,..."
+//                     explicit cell list "NxK,NxK,...". The cells share
+//                     one SAT solve memo: cells with a bit-identical CNF
+//                     (after rewriting, any ROB size at one width) replay
+//                     one solve with unchanged verdicts and counters
+//                     (off under --mem-budget)
 //   --jobs N          parallelism (default 1). Grid mode: worker threads,
 //                     one (N, k) cell per task. Single mode: SAT seed
 //                     portfolio of N racing solver instances.
@@ -57,10 +61,6 @@
 //                     vivification, probing, equivalent-literal
 //                     substitution) — the pre-simplification baseline, used
 //                     by the benches' before/after comparison
-//   --incremental     grid mode only: solve the cells through one shared
-//                     incremental SAT session (activation selectors;
-//                     VSIDS activity, phases and learnt clauses carry
-//                     across cells). Forces sequential cell execution
 //   --no-coi          disable the cone-of-influence simulator optimization
 //   --dump-cnf FILE   write the correctness CNF in DIMACS format
 //   --proof FILE      log a DRAT proof and self-check it on UNSAT
@@ -73,7 +73,7 @@
 //                     the local run; answers served from the daemon's
 //                     result cache print a [cached] marker. Local-run
 //                     features (--dump-cnf, --proof, --trace, --stats,
-//                     --incremental, --fallback) do not apply
+//                     --fallback) do not apply
 //   --trace DIR       write observability artifacts into DIR (created if
 //                     missing): a Chrome-trace/Perfetto event stream
 //                     (trace.json) and a versioned run manifest
@@ -347,7 +347,7 @@ int runConnectMode(const char* endpoint,
 int main(int argc, char** argv) {
   unsigned size = 8, width = 2, jobs = 1, cellJobs = 1;
   bool peOnly = false, quiet = false, coi = true;
-  bool noInprocess = false, incremental = false, resume = false;
+  bool noInprocess = false, resume = false;
   const char* checkpointPath = nullptr;
   core::Engine engine = core::Engine::Sat;
   ResourceBudget budget;
@@ -409,7 +409,6 @@ int main(int argc, char** argv) {
       else if (s == "none") fallback = core::FallbackPolicy::None;
       else usage(("unknown fallback policy: " + s).c_str());
     } else if (a == "--no-inprocess") noInprocess = true;
-    else if (a == "--incremental") incremental = true;
     else if (a == "--no-coi") coi = false;
     else if (a == "--dump-cnf") dumpCnf = next();
     else if (a == "--proof") proofPath = next();
@@ -424,9 +423,6 @@ int main(int argc, char** argv) {
   if (proofPath && engine != core::Engine::Sat)
     usage("--proof requires --engine sat (DRAT proofs come from the CDCL "
           "solver)");
-  if (incremental && !gridSpec)
-    usage("--incremental applies to grid mode only (a single run has no "
-          "cells to share the session across)");
   if (checkpointPath && !gridSpec)
     usage("--checkpoint applies to grid mode only (a single run has no "
           "cells to record)");
@@ -450,11 +446,10 @@ int main(int argc, char** argv) {
 
   try {
   if (connectEndpoint) {
-    if (dumpCnf || proofPath || traceDir || stats || incremental ||
-        checkpointPath || cellJobs > 1 ||
-        fallback != core::FallbackPolicy::None)
+    if (dumpCnf || proofPath || traceDir || stats || checkpointPath ||
+        cellJobs > 1 || fallback != core::FallbackPolicy::None)
       usage("--connect ships requests to a velev_serve daemon; "
-            "--dump-cnf/--proof/--trace/--stats/--incremental/--fallback/"
+            "--dump-cnf/--proof/--trace/--stats/--fallback/"
             "--checkpoint/--cell-jobs are local-run features");
     std::vector<core::VerifyRequest> requests;
     if (gridSpec) {
@@ -478,7 +473,6 @@ int main(int argc, char** argv) {
     core::GridRunOptions gopts;
     gopts.jobs = jobs;
     gopts.cellJobs = cellJobs;
-    gopts.incremental = incremental;
     gopts.fallback = fallback;
     if (traceDir) gopts.traceDir = traceDir;
     if (checkpointPath) gopts.checkpointPath = checkpointPath;
