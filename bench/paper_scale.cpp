@@ -12,10 +12,11 @@
 // JSON — the bench analogue of the paper's "out of memory" entries — and
 // the sweep continues with the next cell.
 //
-// The sweep checkpoints itself: after every finished cell the runner
-// rewrites paper_scale.checkpoint.json (atomic tmp+rename), and the next
-// invocation restores the finished cells and re-verifies only the rest.
-// Kill it, re-run it, and it picks up where it stopped.
+// The sweep keeps a result store in paper_scale.cache/ (core::ResultStore,
+// the store `velev_serve --cache-dir` uses): every finished cell is
+// appended as it completes, and the next invocation restores the finished
+// cells and re-verifies only the rest. Kill it, re-run it, and it picks up
+// where it stopped; `timeout` cells are not stored and run again.
 //
 // Defaults finish in minutes; the environment scales it up:
 //   REPRO_FULL=1          add the 500/1000/1500 x 128 cells (hours)
@@ -59,8 +60,7 @@ int main(int argc, char** argv) {
   core::GridRunOptions gopts;
   gopts.jobs = 1;  // few huge cells: parallelize inside them, not across
   gopts.cellJobs = jobs;
-  gopts.checkpointPath = "paper_scale.checkpoint.json";
-  gopts.resume = true;  // a killed sweep re-runs only its unfinished cells
+  gopts.cacheDir = "paper_scale.cache";  // a re-run restores finished cells
 
   std::printf("paper_scale: %zu cells toward ROB 1500 x width 128 "
               "(%u worker(s) per cell, timeout %.0f s, mem budget %" PRIu64
@@ -76,12 +76,12 @@ int main(int argc, char** argv) {
               "verdict", "seconds", "peak MiB", "note");
   bool refuted = false;
   for (const core::GridCellResult& r : results) {
-    const core::Verdict v = r.report.outcome.verdict;
+    const core::Verdict v = r.response.verdict;
     std::printf("%6u | %6u | %12s | %10.3f | %10.1f | %s\n", r.cell.robSize,
                 r.cell.issueWidth, core::verdictName(v), r.wallSeconds,
-                static_cast<double>(r.report.outcome.peakArenaBytes) /
+                static_cast<double>(r.response.peakArenaBytes) /
                     (1024.0 * 1024.0),
-                r.restored ? "restored from checkpoint" : "");
+                r.restored ? "restored from cache" : "");
     if (v == core::Verdict::CounterexampleFound ||
         v == core::Verdict::RewriteMismatch)
       refuted = true;

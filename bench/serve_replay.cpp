@@ -16,8 +16,8 @@
 //   * pass 2 replays the identical stream and must be served >= 90% from
 //     the cache;
 //   * pass 3 restarts the server (a NEW VerifyServer over the same
-//     --cache-dir journal) and replays the stream again: >= 90% must be
-//     served warm from the persisted cache, with every answer still
+//     --cache-dir result store) and replays the stream again: >= 90% must
+//     be served warm from the persisted cache, with every answer still
 //     identical to the fresh verification of pass 1.
 // Every pass also gates on ZERO error responses: a request answered with
 // an InternalError (or any error) fails the bench even if throughput and
@@ -200,8 +200,8 @@ int main(int argc, char** argv) {
               "%u clients, %u jobs\n",
               kRequests, pool.size(), clients, jobs);
 
-  // The persistent-cache journal lives in a scratch directory under the
-  // working directory; a fresh run never inherits a previous journal.
+  // The result store lives in a scratch directory under the working
+  // directory; a fresh run never inherits a previous store.
   const std::string cacheDir = "serve_replay_cache";
   std::filesystem::remove_all(cacheDir);
 
@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cold.coalesced));
 
   // ---- equivalence: cached answers vs fresh in-process verification --------
-  // The fresh answers are kept: pass 3 re-checks the journal-restored cache
+  // The fresh answers are kept: pass 3 re-checks the store-restored cache
   // against them without verifying everything a second time.
   std::vector<core::Verdict> freshVerdicts(pool.size());
   std::vector<std::vector<std::pair<std::string, std::uint64_t>>>
@@ -309,12 +309,12 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  // ---- pass 3: warm RESTART — the journal must carry the warm set ----------
+  // ---- pass 3: warm RESTART — the result store must carry the warm set -----
   server->stop();
-  server.reset();  // the old daemon is gone; only the journal survives
+  server.reset();  // the old daemon is gone; only the result store survives
   server = std::make_unique<serve::VerifyServer>(opts);
   const std::uint64_t restored =
-      server->collector().counter("serve.journal.restored");
+      server->collector().counter("store.restored");
   const Timer pass3Timer;
   std::size_t pass3Errors = 0;
   std::vector<double> restartLat =
@@ -362,7 +362,7 @@ int main(int argc, char** argv) {
                  restartMismatches, pool.size());
     ok = false;
   } else {
-    std::printf("restart equivalence: all %zu journal-restored answers "
+    std::printf("restart equivalence: all %zu store-restored answers "
                 "identical to fresh verification\n",
                 pool.size());
   }

@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
 
   bool verdictsMatch = true;
   for (std::size_t i = 0; i < cells.size(); ++i)
-    verdictsMatch &= seq[i].report.verdict() == par[i].report.verdict();
+    verdictsMatch &= seq[i].response.verdict == par[i].response.verdict;
 
   std::printf(
       "\nParallel grid runner (%zu cells, rewriting strategy, sizes up to "

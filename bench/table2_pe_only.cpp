@@ -70,14 +70,14 @@ int main(int argc, char** argv) {
       }
       const core::GridCellResult& r = results[idx++];
       json.add(r, "pe-only");
-      const core::VerifyReport& rep = r.report;
-      switch (rep.verdict()) {
+      const double satSeconds = r.response.seconds.sat;
+      switch (r.response.verdict) {
         case core::Verdict::Correct:
-          bench::printCell(rep.satSeconds());
+          bench::printCell(satSeconds);
           break;
         case core::Verdict::Inconclusive: {
           char buf[32];
-          std::snprintf(buf, sizeof buf, ">%.0f", rep.satSeconds());
+          std::snprintf(buf, sizeof buf, ">%.0f", satSeconds);
           bench::printCellText(buf);
           break;
         }

@@ -52,11 +52,11 @@ int main(int argc, char** argv) {
       }
       const core::GridCellResult& r = results[idx++];
       json.add(r, "rewrite+translate");
-      if (r.report.verdict() == core::Verdict::RewriteMismatch) {
+      if (r.response.verdict == core::Verdict::RewriteMismatch) {
         bench::printCellText("BUG?");
       } else {
-        bench::printCell(r.report.rewriteSeconds() +
-                         r.report.translateSeconds());
+        bench::printCell(r.response.seconds.rewrite +
+                         r.response.seconds.translate);
       }
     }
     bench::endRow();

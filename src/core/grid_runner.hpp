@@ -11,9 +11,10 @@
 // derived from it are unsynchronized by design — sharing or cross-thread
 // interning is a data race. The grid runner never passes expressions
 // between cells; the only shared state is the results vector, written at
-// disjoint indices and read after all futures are joined, and one
+// disjoint indices and read after all futures are joined, one
 // mutex-guarded sat::SolveMemo per runGrid() call, through which cells with
-// a bit-identical CNF (a Table 5 column) replay one finished SAT solve.
+// a bit-identical CNF (a Table 5 column) replay one finished SAT solve, and
+// the optional core::ResultStore (read-only after open, appends locked).
 // Results are returned in input order, so a parallel run is observationally
 // identical to the sequential one (up to wall-clock fields and the SAT time
 // and arena peak of replayed cells).
@@ -41,14 +42,6 @@
 
 namespace velev::core {
 
-/// Version of the checkpoint.json schema written by a grid run with
-/// GridRunOptions::checkpointPath (the "version" field — versioned exactly
-/// like manifest.json's schema_version). Bump on any breaking change and
-/// document the migration in docs/SCALING.md. A resume load rejects
-/// mismatched versions wholesale: stale checkpoints restore nothing and
-/// every cell simply re-runs.
-constexpr int kGridCheckpointSchemaVersion = 1;
-
 struct GridCell {
   unsigned robSize = 8;
   unsigned issueWidth = 2;
@@ -57,17 +50,17 @@ struct GridCell {
 
 struct GridCellResult {
   GridCell cell;
-  VerifyReport report;
-  double wallSeconds = 0;       // end-to-end wall time of this cell
-  std::size_t memHighWaterKb = 0;  // process RSS high-water after the cell
+  /// The cell's answer — for a fallback cell, the retry's. Verdict, stage
+  /// seconds and the canonical reportCounters() block; the same record the
+  /// result store persists and velev_serve sends.
+  VerifyResponse response;
+  double wallSeconds = 0;       // summed over the cell's attempts
   bool skipped = false;         // cancelled before the cell started
   bool fellBack = false;        // FallbackPolicy retried this cell
   /// When fellBack: the verdict of the original (pre-retry) attempt.
   Verdict firstVerdict = Verdict::Inconclusive;
-  /// Restored from a checkpoint file instead of re-verified (resume mode).
-  /// The report's verdict/seconds/counters are the recorded values; fields
-  /// a checkpoint record does not carry (typed engine sub-structs beyond
-  /// the counter block) are rehydrated from the counters.
+  /// Every attempt was read from the result store (GridRunOptions::cacheDir)
+  /// instead of verified.
   bool restored = false;
 };
 
@@ -94,19 +87,15 @@ struct GridRunOptions {
   /// merged `manifest.json` summing stage times and counters over the grid.
   /// The directory is created if missing.
   std::string traceDir;
-  /// When non-empty: after every finished (non-skipped) cell the runner
-  /// atomically rewrites this checkpoint file (schema in docs/SCALING.md,
-  /// versioned like manifest.json) with one record per completed cell,
-  /// keyed by VerifyRequest::cacheKey(). A sweep killed mid-run loses at
-  /// most the cells in flight.
-  std::string checkpointPath;
-  /// With `resume` and an existing checkpoint file: cells whose cache key
-  /// has a record are not re-verified — their results are restored
-  /// (GridCellResult::restored) and the run continues with the unfinished
-  /// cells only. A checkpoint written by a different binary (the cache key
-  /// mixes in trace::gitDescribe()) simply matches nothing. Skipped cells
-  /// are never recorded, so a cancelled sweep resumes them too.
-  bool resume = false;
+  /// When non-empty: the core::ResultStore directory (result_store.hpp),
+  /// the same store `velev_serve --cache-dir` keeps. Each attempt of a cell
+  /// is looked up under its own request's cacheKey() and, when missing,
+  /// verified and stored — so a sweep killed mid-run loses at most the
+  /// cells in flight, and re-running it restores the finished ones
+  /// (GridCellResult::restored). A store written by a different build
+  /// matches nothing. `timeout` and `skipped` cells are never stored, so
+  /// they run again.
+  std::string cacheDir;
   /// Worker threads *inside* each cell (VerifyOptions::jobs): parallel
   /// rewrite slice checks and CNF build. Orthogonal to `jobs`, which fans
   /// out across cells — the paper-scale sweep runs few huge cells, so it
@@ -138,14 +127,10 @@ std::vector<VerifyRequest> makeGridRequests(std::span<const unsigned> sizes,
                                             const VerifyRequest& base = {});
 
 /// Flatten one finished cell into the manifest fields: tool name, config
-/// block (rob_size, issue_width, strategy, …), budget, verdict/reason,
-/// stage seconds and the canonical reportCounters() block. Shared by the
-/// grid runner's per-cell manifests and velev_verify's single-run one.
-trace::ManifestData cellManifestData(const GridCellResult& res,
-                                     const VerifyOptions& opts,
-                                     std::string_view tool = "velev_verify");
-
-/// As above, for a request-driven run.
+/// block (rob_size, issue_width, strategy, …) and budget from `req`,
+/// verdict/reason, stage seconds and the canonical counter block from the
+/// response. Shared by the grid runner's per-cell manifests and
+/// velev_verify's single-run one.
 trace::ManifestData cellManifestData(const GridCellResult& res,
                                      const VerifyRequest& req,
                                      std::string_view tool = "velev_verify");

@@ -5,8 +5,7 @@ namespace velev::core {
 namespace {
 
 std::vector<std::pair<std::string, double>> stageSecondsOf(
-    const VerifyReport& rep) {
-  const StageSeconds& s = rep.outcome.seconds;
+    const StageSeconds& s) {
   return {{"sim", s.sim},
           {"rewrite", s.rewrite},
           {"translate", s.translate},
@@ -17,20 +16,21 @@ std::vector<std::pair<std::string, double>> stageSecondsOf(
 }  // namespace
 
 ReportCell makeReportCell(const GridCellResult& res, std::string label) {
+  const VerifyResponse& resp = res.response;
   ReportCell c;
   c.robSize = res.cell.robSize;
   c.issueWidth = res.cell.issueWidth;
   c.label = std::move(label);
-  c.verdict = verdictName(res.report.verdict());
-  c.reason = res.report.outcome.reason;
+  c.verdict = verdictName(resp.verdict);
+  c.reason = resp.reason;
   c.wallSeconds = res.wallSeconds;
-  c.satConflicts = res.report.satStats.conflicts;
-  c.peakArenaBytes = res.report.outcome.peakArenaBytes;
-  c.memHighWaterKb = res.memHighWaterKb;
+  c.satConflicts = resp.counter("sat.conflicts");
+  c.peakArenaBytes = resp.peakArenaBytes;
+  c.memHighWaterKb = resp.rssHighWaterKb;
   c.fellBack = res.fellBack;
   if (res.fellBack) c.firstVerdict = verdictName(res.firstVerdict);
-  c.counters = reportCounters(res.report);
-  c.stageSeconds = stageSecondsOf(res.report);
+  c.counters = resp.counters;
+  c.stageSeconds = stageSecondsOf(resp.seconds);
   return c;
 }
 
@@ -48,7 +48,7 @@ ReportCell makeReportCell(const models::OoOConfig& cfg, std::string label,
   c.peakArenaBytes = rep.outcome.peakArenaBytes;
   c.memHighWaterKb = memHighWaterKb;
   c.counters = reportCounters(rep);
-  c.stageSeconds = stageSecondsOf(rep);
+  c.stageSeconds = stageSecondsOf(rep.outcome.seconds);
   return c;
 }
 

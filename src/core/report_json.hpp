@@ -44,7 +44,9 @@ struct ReportCell {
   std::vector<std::pair<std::string, double>> stageSeconds;
 };
 
-/// Flatten one grid result (counters included; stage seconds included).
+/// Flatten one finished cell from its VerifyResponse: a grid cell, a
+/// single run, or an answer from a velev_serve daemon (counters and stage
+/// seconds included; mem_high_water_kb is the response's RSS snapshot).
 ReportCell makeReportCell(const GridCellResult& res, std::string label = {});
 
 /// Flatten one free-standing VerifyReport (the benches' non-grid path).

@@ -1,7 +1,9 @@
 #include "core/request.hpp"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "support/hash.hpp"
@@ -64,6 +66,17 @@ std::string VerifyRequest::toJson(bool includeId) const {
 
 namespace {
 
+/// Whether `v` is a number with an exact value of type T. The bounds are
+/// powers of two, so they are exact as doubles.
+template <class T>
+bool isIntegerOf(const JsonValue& v) {
+  constexpr int bits = std::numeric_limits<T>::digits;
+  const double hi = std::ldexp(1.0, bits);
+  const double lo = std::numeric_limits<T>::is_signed ? -hi : 0.0;
+  return v.isNumber() && std::trunc(v.number) == v.number &&
+         v.number >= lo && v.number < hi;
+}
+
 /// Strict field cursor over one JSON object: every member must be consumed
 /// by exactly one `take` call, or finish() reports it as unknown.
 class FieldReader {
@@ -82,21 +95,18 @@ class FieldReader {
     return v_.find(key);
   }
 
-  void takeUint(std::string_view key, std::uint64_t* out) {
+  /// Integer field of type T. A fraction, or a value outside T's range, is
+  /// refused before any cast (a double-to-integer cast out of range is
+  /// undefined behaviour, and a truncated one would alias another value).
+  template <class T>
+  void takeInt(std::string_view key, T* out) {
     const JsonValue* f = take(key);
     if (f == nullptr) return;
-    if (!f->isNumber() || f->number < 0)
-      return fail("field '" + std::string(key) +
-                  "' must be a non-negative number");
-    *out = static_cast<std::uint64_t>(f->number);
-  }
-
-  void takeInt(std::string_view key, std::int64_t* out) {
-    const JsonValue* f = take(key);
-    if (f == nullptr) return;
-    if (!f->isNumber())
-      return fail("field '" + std::string(key) + "' must be a number");
-    *out = static_cast<std::int64_t>(f->number);
+    if (!isIntegerOf<T>(*f))
+      return fail("field '" + std::string(key) + "' must be an integer in " +
+                  std::to_string(std::numeric_limits<T>::min()) + ".." +
+                  std::to_string(std::numeric_limits<T>::max()));
+    *out = static_cast<T>(f->number);
   }
 
   void takeDouble(std::string_view key, double* out) {
@@ -155,17 +165,16 @@ class FieldReader {
 };
 
 bool checkVersion(FieldReader& r, int expected, const char* what) {
-  std::int64_t version = 0;
   const JsonValue* f = r.take("version");
   if (f == nullptr || !f->isNumber()) {
     r.fail(std::string(what) + " is missing the 'version' field");
     return false;
   }
-  version = static_cast<std::int64_t>(f->number);
-  if (version != expected) {
-    r.fail("unsupported " + std::string(what) + " version " +
-           std::to_string(version) + " (this build speaks version " +
-           std::to_string(expected) + ")");
+  if (f->number != expected) {
+    char version[32];
+    std::snprintf(version, sizeof version, "%g", f->number);
+    r.fail("unsupported " + std::string(what) + " version " + version +
+           " (this build speaks version " + std::to_string(expected) + ")");
     return false;
   }
   return true;
@@ -197,16 +206,11 @@ std::optional<VerifyRequest> VerifyRequest::fromJson(const JsonValue& v,
   FieldReader r(v);
   VerifyRequest req;
   if (checkVersion(r, kRequestSchemaVersion, "request")) {
-    r.takeUint("id", &req.id);
-    std::uint64_t robSize = req.robSize, issueWidth = req.issueWidth;
-    r.takeUint("rob_size", &robSize);
-    r.takeUint("issue_width", &issueWidth);
-    req.robSize = static_cast<unsigned>(robSize);
-    req.issueWidth = static_cast<unsigned>(issueWidth);
+    r.takeInt("id", &req.id);
+    r.takeInt("rob_size", &req.robSize);
+    r.takeInt("issue_width", &req.issueWidth);
     r.takeEnum("bug_kind", &req.bug.kind, models::bugKindFromName);
-    std::uint64_t bugIndex = req.bug.index;
-    r.takeUint("bug_index", &bugIndex);
-    req.bug.index = static_cast<unsigned>(bugIndex);
+    r.takeInt("bug_index", &req.bug.index);
     r.takeEnum("strategy", &req.strategy, strategyFromName);
     r.takeEnum("engine", &req.engine, engineFromName);
     r.takeEnum("uf_scheme", &req.ufScheme, evc::ufSchemeFromName);
@@ -214,7 +218,7 @@ std::optional<VerifyRequest> VerifyRequest::fromJson(const JsonValue& v,
     r.takeBool("cone_of_influence", &req.coneOfInfluence);
     r.takeBool("inprocess", &req.inprocess);
     r.takeDouble("timeout_seconds", &req.timeoutSeconds);
-    r.takeUint("memory_budget_bytes", &req.memoryBudgetBytes);
+    r.takeInt("memory_budget_bytes", &req.memoryBudgetBytes);
     r.takeInt("sat_conflict_budget", &req.satConflictBudget);
     r.finish();
   }
@@ -331,42 +335,49 @@ std::optional<VerifyResponse> VerifyResponse::fromJson(const JsonValue& v,
   FieldReader r(v);
   VerifyResponse resp;
   if (checkVersion(r, kResponseSchemaVersion, "response")) {
-    r.takeUint("id", &resp.id);
+    r.takeInt("id", &resp.id);
     r.takeString("error", &resp.error);
     r.takeBool("cached", &resp.cached);
     r.takeString("cache_key", &resp.cacheKey);
     r.takeEnum("verdict", &resp.verdict, verdictFromName);
     r.takeString("reason", &resp.reason);
-    std::uint64_t failedSlice = 0;
-    r.takeUint("failed_slice", &failedSlice);
-    resp.failedSlice = static_cast<unsigned>(failedSlice);
-    std::int64_t exitCode = resp.exitCode;
-    r.takeInt("exit_code", &exitCode);
-    resp.exitCode = static_cast<int>(exitCode);
+    r.takeInt("failed_slice", &resp.failedSlice);
+    r.takeInt("exit_code", &resp.exitCode);
     r.takeDouble("wall_seconds", &resp.wallSeconds);
     if (const JsonValue* stages = r.take("stage_seconds");
         stages != nullptr) {
       if (!stages->isObject())
         r.fail("field 'stage_seconds' must be an object");
-      else {
-        resp.seconds.sim = stages->numberAt("sim");
-        resp.seconds.rewrite = stages->numberAt("rewrite");
-        resp.seconds.translate = stages->numberAt("translate");
-        resp.seconds.sat = stages->numberAt("sat");
-        resp.seconds.bdd = stages->numberAt("bdd");
-      }
+      else
+        for (const auto& [name, value] : stages->object) {
+          double* stage = name == "sim"         ? &resp.seconds.sim
+                          : name == "rewrite"   ? &resp.seconds.rewrite
+                          : name == "translate" ? &resp.seconds.translate
+                          : name == "sat"       ? &resp.seconds.sat
+                          : name == "bdd"       ? &resp.seconds.bdd
+                                                : nullptr;
+          if (stage == nullptr || !value.isNumber()) {
+            r.fail("stage_seconds member '" + name +
+                   "' must be a number named sim/rewrite/translate/sat/bdd");
+            break;
+          }
+          *stage = value.number;
+        }
     }
-    r.takeUint("peak_arena_bytes", &resp.peakArenaBytes);
-    r.takeUint("rss_high_water_kb", &resp.rssHighWaterKb);
+    r.takeInt("peak_arena_bytes", &resp.peakArenaBytes);
+    r.takeInt("rss_high_water_kb", &resp.rssHighWaterKb);
     if (const JsonValue* counters = r.take("counters"); counters != nullptr) {
       if (!counters->isObject())
         r.fail("field 'counters' must be an object");
       else
-        for (const auto& [name, value] : counters->object)
-          resp.counters.emplace_back(
-              name, value.isNumber() && value.number >= 0
-                        ? static_cast<std::uint64_t>(value.number)
-                        : 0);
+        for (const auto& [name, value] : counters->object) {
+          if (!isIntegerOf<std::uint64_t>(value)) {
+            r.fail("counter '" + name + "' must be a non-negative integer");
+            break;
+          }
+          resp.counters.emplace_back(name,
+                                     static_cast<std::uint64_t>(value.number));
+        }
     }
     r.finish();
   }

@@ -9,6 +9,7 @@
 //
 //   * the in-process API          verify(const VerifyRequest&)
 //   * the grid runner             runGrid(std::span<const VerifyRequest>,..)
+//   * the result store            core/result_store.hpp (one line per answer)
 //   * the velev_verify CLI        (flags -> request; --connect sends it)
 //   * the velev_serve daemon      (newline-delimited requests on a socket)
 //   * the replay bench            bench/serve_replay.cpp
@@ -105,7 +106,8 @@ struct VerifyRequest {
   std::string toJson(bool includeId = true) const;
 
   /// Parse one request object. Rejects missing/mismatched "version",
-  /// unknown fields, unknown enum names and out-of-range values; on
+  /// unknown fields, unknown enum names, integer fields that are fractional
+  /// or outside their type's range, and values validate() refuses; on
   /// failure returns nullopt with a one-line reason in `error`.
   static std::optional<VerifyRequest> fromJson(const JsonValue& v,
                                                std::string* error = nullptr);
@@ -147,6 +149,16 @@ struct VerifyResponse {
   /// Canonical paper-aligned counter block (core::reportCounters).
   std::vector<std::pair<std::string, std::uint64_t>> counters;
 
+  /// The value of counter `name`; 0 when the block does not carry it.
+  std::uint64_t counter(std::string_view name) const {
+    for (const auto& [n, value] : counters)
+      if (n == name) return value;
+    return 0;
+  }
+  bool budgetExceeded() const {
+    return verdict == Verdict::Timeout || verdict == Verdict::MemOut;
+  }
+
   /// Flatten a finished report into the wire answer.
   static VerifyResponse fromReport(const VerifyRequest& req,
                                    const VerifyReport& rep,
@@ -156,6 +168,9 @@ struct VerifyResponse {
 
   void writeJson(JsonWriter& w) const;
   std::string toJson() const;
+  /// As strict as VerifyRequest::fromJson; in addition every counter must
+  /// be a non-negative integer and every stage_seconds member a number
+  /// named after a stage. core::ResultStore reads its records through here.
   static std::optional<VerifyResponse> fromJson(const JsonValue& v,
                                                 std::string* error = nullptr);
   static std::optional<VerifyResponse> parse(std::string_view text,

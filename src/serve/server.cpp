@@ -19,6 +19,9 @@ namespace velev::serve {
 
 namespace {
 
+/// Longest request line a connection may send.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
 /// Bind + listen a unix-domain socket, unlinking any stale file first.
 int listenUnix(const std::string& path, std::string* error) {
   sockaddr_un addr{};
@@ -92,17 +95,13 @@ VerifyServer::VerifyServer(ServerOptions opts)
       cache_(opts_.cacheMaxEntries),
       pool_(std::make_unique<ThreadPool>(opts_.jobs == 0 ? 1 : opts_.jobs)) {
   if (!opts_.cacheDir.empty()) {
-    CacheJournal::Options jo;
-    jo.dir = opts_.cacheDir;
-    journal_ = std::make_unique<CacheJournal>(std::move(jo));
-    CacheJournal::LoadStats ls;
-    const auto restored = journal_->load(&ls);
-    for (const auto& [key, resp] : restored) cache_.seed(key, resp);
-    collector_.addCounter("serve.journal.restored", restored.size());
-    collector_.addCounter("serve.journal.segments", ls.segments);
-    collector_.addCounter("serve.journal.skipped_segments",
-                          ls.skippedSegments);
-    collector_.addCounter("serve.journal.skipped_entries", ls.skippedEntries);
+    {
+      trace::Use tracing(&collector_);  // store.open, store.restored/dropped
+      store_ = std::make_unique<core::ResultStore>(opts_.cacheDir);
+    }
+    // Every record's key is 16 hex digits (the store checked).
+    for (const core::VerifyResponse& resp : store_->records())
+      cache_.seed(std::stoull(resp.cacheKey, nullptr, 16), resp);
   }
   if (opts_.workers > 0) {
     WorkerPoolOptions po;
@@ -345,8 +344,8 @@ void VerifyServer::completeJob(const core::VerifyRequest& req,
   // cacheable.
   const bool cacheable = resp.verdict != core::Verdict::Timeout;
   cache_.fulfill(key, resp, cacheable);
-  // The journal applies the same policy (and re-checks it).
-  if (cacheable && journal_ != nullptr) journal_->append(key, resp);
+  // The store applies the same policy.
+  if (store_ != nullptr) store_->put(resp);
   done(resp);  // the owner's own answer is the fresh one (cached=false)
 }
 
@@ -388,9 +387,6 @@ std::string VerifyServer::controlResponse(const std::string& op) {
       w.kv("serve.pool.batches_total", ps.batches);
       w.kv("serve.pool.batched_requests_total", ps.batchedRequests);
     }
-    if (journal_ != nullptr)
-      w.kv("serve.journal.segments_on_disk",
-           static_cast<std::uint64_t>(journal_->segmentCount()));
     w.endObject();
     w.endObject();
   } else if (op == "shutdown") {
@@ -471,15 +467,16 @@ void VerifyServer::acceptLoop() {
 }
 
 void VerifyServer::readerLoop(Connection* conn) {
-  std::string pending;
+  std::string pending;  // never holds a '\n' between receives
   char buf[4096];
   for (;;) {
     const ssize_t n = ::recv(conn->fd, buf, sizeof buf, 0);
     if (n <= 0) break;  // EOF, error, or SHUT_RD from stop()
+    const std::size_t scanFrom = pending.size();
     pending.append(buf, static_cast<std::size_t>(n));
     std::size_t start = 0;
-    for (std::size_t nl = pending.find('\n', start); nl != std::string::npos;
-         nl = pending.find('\n', start)) {
+    for (std::size_t nl = pending.find('\n', scanFrom);
+         nl != std::string::npos; nl = pending.find('\n', start)) {
       std::string line = pending.substr(start, nl - start);
       start = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -493,6 +490,17 @@ void VerifyServer::readerLoop(Connection* conn) {
       if (!direct.empty()) writeLine(conn, direct);
     }
     pending.erase(0, start);
+    if (pending.size() > kMaxLineBytes) {
+      // A line past the cap is refused outright: one error, then the
+      // connection is shut down (its fd stays valid until stop(), so late
+      // answers to earlier pipelined lines fail cleanly).
+      collector_.addCounter("serve.requests.bad", 1);
+      writeLine(conn, wire(core::VerifyResponse::makeError(
+                          0, "request line longer than " +
+                                 std::to_string(kMaxLineBytes) + " bytes")));
+      ::shutdown(conn->fd, SHUT_RDWR);
+      break;
+    }
   }
 }
 

@@ -29,10 +29,15 @@
 // are never cached: whether a deadline trips depends on machine load, so
 // freezing one would replay a nondeterministic answer forever.
 //
-// PERSISTENCE: with cacheDir set, every cacheable result is also appended
-// to a serve/journal.hpp segment journal and replayed into the cache at
-// construction — a restarted daemon keeps its warm set (same binary only;
-// the journal is version-checked).
+// PERSISTENCE: with cacheDir set, the cache is backed by a
+// core::ResultStore (core/result_store.hpp) — the store the grid runner's
+// cacheDir keeps too. Its records seed the cache at construction and every
+// storable result is appended, so a restarted daemon keeps its warm set
+// (same build only; the store is version-checked).
+//
+// HOSTILE INPUT: a request line may be at most 1 MiB long. A connection
+// whose pending line grows past that gets one error response and is shut
+// down, so a client that never sends '\n' cannot grow the reader's buffer.
 //
 // ADMISSION: beyond the static budget clamps, maxQueueDepth /
 // maxPendingSeconds reject NEW work (cache misses about to become jobs)
@@ -55,8 +60,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/result_store.hpp"
 #include "serve/cache.hpp"
-#include "serve/journal.hpp"
 #include "serve/supervisor.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
@@ -94,7 +99,7 @@ struct ServerOptions {
   /// TEST HOOK, forwarded to WorkerPoolOptions::crashAfter.
   int workerCrashAfter = 0;
 
-  /// Persistent-cache directory (serve/journal.hpp); empty = memory-only.
+  /// Result-store directory (core/result_store.hpp); empty = memory-only.
   std::string cacheDir;
 
   /// Live-load admission (0 = unlimited): reject a new job when this many
@@ -167,9 +172,9 @@ class VerifyServer {
               ResultCache::Waiter done);
 
   /// Owner-job epilogue, shared by the in-process and worker paths:
-  /// release admission, settle the cache (fulfill or abandon), persist to
-  /// the journal when cacheable, answer the owner. Fires exactly once per
-  /// admitted job.
+  /// release admission, settle the cache (fulfill or abandon), append to
+  /// the result store when storable, answer the owner. Fires exactly once
+  /// per admitted job.
   void completeJob(const core::VerifyRequest& req, std::uint64_t key,
                    const core::VerifyResponse& resp,
                    const ResultCache::Waiter& done);
@@ -192,7 +197,7 @@ class VerifyServer {
   ServerOptions opts_;
   ResultCache cache_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<CacheJournal> journal_;
+  std::unique_ptr<core::ResultStore> store_;
   std::unique_ptr<WorkerPool> workerPool_;
   /// Non-empty when workers > 0 was requested but the pool could not be
   /// started: start() fails with it, and submits answer it as an error.

@@ -194,10 +194,13 @@ class JsonValue {
     return nullptr;
   }
 
-  /// Numeric member as uint64 (0 when absent / non-numeric / negative).
+  /// Numeric member as uint64 (0 when absent / non-numeric / negative /
+  /// 2^64 or more; a fraction truncates).
   std::uint64_t uintAt(std::string_view key) const {
     const JsonValue* v = find(key);
-    if (v == nullptr || !v->isNumber() || v->number < 0) return 0;
+    if (v == nullptr || !v->isNumber() || !(v->number >= 0) ||
+        v->number >= 18446744073709551616.0)
+      return 0;
     return static_cast<std::uint64_t>(v->number);
   }
   /// Numeric member as double (0 when absent / non-numeric).

@@ -213,8 +213,8 @@ TEST(BudgetGrid, MemOutCellDoesNotDisturbSiblings) {
   const auto baseline = core::runGrid(siblings, unbudgeted);
   std::size_t siblingPeak = 0;
   for (const auto& r : baseline) {
-    ASSERT_EQ(r.report.verdict(), core::Verdict::Correct);
-    siblingPeak = std::max(siblingPeak, r.report.outcome.peakArenaBytes);
+    ASSERT_EQ(r.response.verdict, core::Verdict::Correct);
+    siblingPeak = std::max(siblingPeak, r.response.peakArenaBytes);
   }
   ASSERT_GT(siblingPeak, 0u);
 
@@ -235,16 +235,16 @@ TEST(BudgetGrid, MemOutCellDoesNotDisturbSiblings) {
   for (std::size_t i = 0; i < siblings.size(); ++i) {
     // Memory is governed on per-cell logical bytes, not process RSS, so the
     // memout neighbour must not change any sibling verdict or statistic.
-    EXPECT_EQ(results[i].report.verdict(), baseline[i].report.verdict());
-    EXPECT_EQ(results[i].report.evcStats.cnfVars,
-              baseline[i].report.evcStats.cnfVars);
-    EXPECT_EQ(results[i].report.evcStats.cnfClauses,
-              baseline[i].report.evcStats.cnfClauses);
-    EXPECT_FALSE(results[i].report.outcome.budgetExceeded());
+    EXPECT_EQ(results[i].response.verdict, baseline[i].response.verdict);
+    EXPECT_EQ(results[i].response.counter("cnf.vars"),
+              baseline[i].response.counter("cnf.vars"));
+    EXPECT_EQ(results[i].response.counter("cnf.clauses"),
+              baseline[i].response.counter("cnf.clauses"));
+    EXPECT_FALSE(results[i].response.budgetExceeded());
   }
   const auto& big = results.back();
-  EXPECT_EQ(big.report.verdict(), core::Verdict::MemOut);
-  EXPECT_TRUE(big.report.outcome.budgetExceeded());
+  EXPECT_EQ(big.response.verdict, core::Verdict::MemOut);
+  EXPECT_TRUE(big.response.budgetExceeded());
   EXPECT_FALSE(big.fellBack);
 }
 
@@ -270,8 +270,8 @@ TEST(BudgetGrid, FallbackRetriesMemOutCellWithRewriting) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].fellBack);
   EXPECT_EQ(results[0].firstVerdict, core::Verdict::MemOut);
-  EXPECT_EQ(results[0].report.verdict(), core::Verdict::Correct);
-  EXPECT_FALSE(results[0].report.outcome.budgetExceeded());
+  EXPECT_EQ(results[0].response.verdict, core::Verdict::Correct);
+  EXPECT_FALSE(results[0].response.budgetExceeded());
 }
 
 }  // namespace

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
+#include <vector>
 
 #include "core/verifier.hpp"
 #include "prop/cnf.hpp"
@@ -243,47 +246,88 @@ TEST(Cli, CellJobsVerdictsIdenticalToSequential) {
   EXPECT_EQ(verdictLines(par.output), verdictLines(seq.output));
 }
 
-TEST(Cli, GridCheckpointResumeRestoresFinishedCells) {
-  const std::string ckpt = tmpPath("cli_resume.checkpoint.json");
-  std::remove(ckpt.c_str());
-  const std::string grid = "--grid 'sizes=2,3;widths=1' --quiet";
+// The two tests below are named after the --checkpoint/--resume flags that
+// --cache-dir (the result store) replaced.
 
-  const CliResult first = runCli(grid + " --checkpoint " + ckpt);
+TEST(Cli, GridCheckpointResumeRestoresFinishedCells) {
+  const std::string dir = tmpPath("cli_resume.cache");
+  std::filesystem::remove_all(dir);
+  const std::string grid =
+      "--grid 'sizes=2,3;widths=1' --quiet --cache-dir " + dir + " --json ";
+
+  const CliResult first = runCli(grid + tmpPath("cli_resume1.json"));
   EXPECT_EQ(first.exitCode, 0) << first.output;
-  EXPECT_EQ(first.output.find("restored from checkpoint"), std::string::npos)
+  EXPECT_EQ(first.output.find("restored from cache"), std::string::npos)
       << first.output;
 
-  // The checkpoint file is versioned JSON with one record per cell.
-  std::ifstream in(ckpt);
-  ASSERT_TRUE(in.good()) << ckpt;
-  std::stringstream ss;
-  ss << in.rdbuf();
+  // The store is a versioned header line plus one VerifyResponse per cell.
+  std::ifstream in(dir + "/results.jsonl");
+  ASSERT_TRUE(in.good()) << dir;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 3u);
   std::string err;
-  const auto doc = parseJson(ss.str(), &err);
-  ASSERT_TRUE(doc.has_value()) << err;
-  EXPECT_EQ(doc->uintAt("version"), 1u);
-  const JsonValue* cells = doc->find("cells");
-  ASSERT_NE(cells, nullptr);
-  EXPECT_EQ(cells->array.size(), 2u);
+  const auto header = parseJson(lines[0], &err);
+  ASSERT_TRUE(header.has_value()) << err;
+  EXPECT_EQ(header->uintAt("version"), 1u);
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    const auto rec = parseJson(lines[i], &err);
+    ASSERT_TRUE(rec.has_value()) << err;
+    EXPECT_EQ(rec->stringAt("cache_key").size(), 16u);
+    EXPECT_EQ(rec->stringAt("verdict"), "correct");
+  }
 
-  // Resuming re-verifies nothing: both cells come back restored, with the
-  // same verdict lines as the fresh run.
-  const CliResult second = runCli(grid + " --checkpoint " + ckpt + " --resume");
+  // The second run verifies nothing: both cells come back restored, with
+  // the fresh run's verdicts and counter blocks.
+  const CliResult second = runCli(grid + tmpPath("cli_resume2.json"));
   EXPECT_EQ(second.exitCode, 0) << second.output;
-  EXPECT_NE(second.output.find("cell 2x1: restored from checkpoint"),
+  EXPECT_NE(second.output.find("cell 2x1: restored from cache"),
             std::string::npos)
       << second.output;
-  EXPECT_NE(second.output.find("cell 3x1: restored from checkpoint"),
+  EXPECT_NE(second.output.find("cell 3x1: restored from cache"),
             std::string::npos)
       << second.output;
-  std::remove(ckpt.c_str());
+  auto cellsOf = [&](const char* name) {
+    std::ifstream js(tmpPath(name));
+    std::stringstream ss;
+    ss << js.rdbuf();
+    std::optional<JsonValue> doc = parseJson(ss.str(), &err);
+    EXPECT_TRUE(doc.has_value()) << err;
+    const JsonValue* cells = doc ? doc->find("cells") : nullptr;
+    return cells != nullptr ? cells->array : std::vector<JsonValue>{};
+  };
+  const std::vector<JsonValue> fresh = cellsOf("cli_resume1.json");
+  const std::vector<JsonValue> restored = cellsOf("cli_resume2.json");
+  ASSERT_EQ(fresh.size(), 2u);
+  ASSERT_EQ(restored.size(), 2u);
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(restored[i].stringAt("verdict"), fresh[i].stringAt("verdict"));
+    const JsonValue* a = fresh[i].find("counters");
+    const JsonValue* b = restored[i].find("counters");
+    ASSERT_TRUE(a != nullptr && b != nullptr);
+    ASSERT_EQ(a->object.size(), b->object.size());
+    for (std::size_t k = 0; k < a->object.size(); ++k) {
+      EXPECT_EQ(a->object[k].first, b->object[k].first);
+      EXPECT_EQ(a->object[k].second.number, b->object[k].second.number)
+          << a->object[k].first;
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Cli, CheckpointUsageErrors) {
-  EXPECT_EQ(runCli("--grid 4x2 --resume").exitCode, 2);  // needs --checkpoint
-  const std::string ckpt = tmpPath("cli_usage.checkpoint.json");
-  // --checkpoint is a grid-mode flag.
-  EXPECT_EQ(runCli("--size 4 --width 2 --checkpoint " + ckpt).exitCode, 2);
+  EXPECT_EQ(runCli("--grid 4x2 --resume").exitCode, 2);  // no such flag now
+  const std::string dir = tmpPath("cli_usage.cache");
+  // --cache-dir is a grid-mode flag ...
+  EXPECT_EQ(runCli("--size 4 --width 2 --cache-dir " + dir).exitCode, 2);
+  EXPECT_EQ(runCli("--grid 4x2 --cache-dir").exitCode, 2);  // needs DIR
+  // ... and a local-run one: a daemon keeps its own store.
+  const CliResult remote =
+      runCli("--grid 4x2 --connect :1 --cache-dir " + dir);
+  EXPECT_EQ(remote.exitCode, 2);
+  EXPECT_NE(remote.output.find("local-run features"), std::string::npos)
+      << remote.output;
+  EXPECT_FALSE(std::filesystem::exists(dir));
   EXPECT_EQ(runCli("--size 4 --width 2 --cell-jobs 0").exitCode, 2);
 }
 

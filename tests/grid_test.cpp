@@ -1,8 +1,9 @@
 // Tests for the parallel grid runner: parallel runs must be
 // observationally identical to sequential runs (same verdicts, same CNF
 // statistics, input order preserved), the grid's shared solve memo must not
-// change any verdict or counter, cancellation must stop queued cells, and
-// makeGrid/makeGridRequests must drop impossible configurations.
+// change any verdict or counter, cancellation must stop queued cells, a
+// result store (GridRunOptions::cacheDir) must restore exactly the finished
+// cells, and makeGrid/makeGridRequests must drop impossible configurations.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -18,14 +19,13 @@
 namespace velev::core {
 namespace {
 
-/// Fresh checkpoint path under the system temp dir; removed up front so a
-/// crashed previous run cannot leak records into this one.
-std::string checkpointPath(const char* name) {
-  const std::string p =
-      (std::filesystem::temp_directory_path() /
-       (std::string("velev_grid_test_") + name + ".checkpoint.json"))
-          .string();
-  std::filesystem::remove(p);
+/// Fresh result-store directory under the system temp dir; removed up
+/// front so a crashed previous run cannot leak records into this one.
+std::string storeDir(const char* name) {
+  const std::string p = (std::filesystem::temp_directory_path() /
+                         (std::string("velev_grid_test_") + name + ".cache"))
+                            .string();
+  std::filesystem::remove_all(p);
   return p;
 }
 
@@ -83,14 +83,14 @@ TEST(Grid, ParallelVerdictsIdenticalToSequential) {
     EXPECT_EQ(parallel[i].cell.robSize, cells[i].robSize);
     EXPECT_EQ(parallel[i].cell.issueWidth, cells[i].issueWidth);
     // Identical verdicts and identical translated formulas.
-    EXPECT_EQ(sequential[i].report.verdict(), Verdict::Correct);
-    EXPECT_EQ(parallel[i].report.verdict(), sequential[i].report.verdict());
-    EXPECT_EQ(parallel[i].report.evcStats.cnfVars,
-              sequential[i].report.evcStats.cnfVars);
-    EXPECT_EQ(parallel[i].report.evcStats.cnfClauses,
-              sequential[i].report.evcStats.cnfClauses);
+    EXPECT_EQ(sequential[i].response.verdict, Verdict::Correct);
+    EXPECT_EQ(parallel[i].response.verdict, sequential[i].response.verdict);
+    EXPECT_EQ(parallel[i].response.counter("cnf.vars"),
+              sequential[i].response.counter("cnf.vars"));
+    EXPECT_EQ(parallel[i].response.counter("cnf.clauses"),
+              sequential[i].response.counter("cnf.clauses"));
     EXPECT_FALSE(parallel[i].skipped);
-    EXPECT_GT(parallel[i].memHighWaterKb, 0u);
+    EXPECT_GT(parallel[i].response.rssHighWaterKb, 0u);
   }
 }
 
@@ -108,12 +108,12 @@ TEST(Grid, HeterogeneousRequestsKeepPerCellOptions) {
   opts.jobs = 2;
   const auto results = runGrid(reqs, opts);
   ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].report.verdict(), Verdict::Correct);
-  EXPECT_EQ(results[1].report.verdict(), Verdict::Correct);
+  EXPECT_EQ(results[0].response.verdict, Verdict::Correct);
+  EXPECT_EQ(results[1].response.verdict, Verdict::Correct);
   // PE-only skips the rewriting stage, so its e_ij/CNF encoding is the
   // bigger one — the two cells must not share one translation.
-  EXPECT_GT(results[1].report.evcStats.cnfVars,
-            results[0].report.evcStats.cnfVars);
+  EXPECT_GT(results[1].response.counter("cnf.vars"),
+            results[0].response.counter("cnf.vars"));
 }
 
 TEST(Grid, BuggyCellReportsMismatchUnderParallelRun) {
@@ -124,9 +124,9 @@ TEST(Grid, BuggyCellReportsMismatchUnderParallelRun) {
   GridRunOptions opts;
   opts.jobs = 2;
   const auto results = runGrid(cells, opts);
-  EXPECT_EQ(results[0].report.verdict(), Verdict::Correct);
-  EXPECT_EQ(results[1].report.verdict(), Verdict::RewriteMismatch);
-  EXPECT_EQ(results[1].report.outcome.failedSlice, 2u);
+  EXPECT_EQ(results[0].response.verdict, Verdict::Correct);
+  EXPECT_EQ(results[1].response.verdict, Verdict::RewriteMismatch);
+  EXPECT_EQ(results[1].response.failedSlice, 2u);
 }
 
 TEST(Grid, CancelledBeforeRunSkipsEveryCell) {
@@ -143,8 +143,8 @@ TEST(Grid, CancelledBeforeRunSkipsEveryCell) {
       EXPECT_TRUE(results[i].skipped) << "jobs " << jobs << " cell " << i;
       EXPECT_EQ(results[i].cell.robSize, cells[i].robSize);
       // Skipped cells carry their own verdict, not an Inconclusive alias.
-      EXPECT_EQ(results[i].report.verdict(), Verdict::Skipped);
-      EXPECT_FALSE(results[i].report.outcome.reason.empty());
+      EXPECT_EQ(results[i].response.verdict, Verdict::Skipped);
+      EXPECT_FALSE(results[i].response.reason.empty());
     }
   }
 }
@@ -176,9 +176,9 @@ TEST(Grid, IncrementalSessionVerdictsIdenticalToFreshRuns) {
 
     std::size_t replayed = 0;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      EXPECT_EQ(results[i].report.verdict(), Verdict::Correct)
+      EXPECT_EQ(results[i].response.verdict, Verdict::Correct)
           << "jobs " << jobs << " cell " << i;
-      EXPECT_EQ(reportCounters(results[i].report), reportCounters(fresh[i]))
+      EXPECT_EQ(results[i].response.counters, reportCounters(fresh[i]))
           << "jobs " << jobs << " cell " << i;
       std::ifstream in(opts.traceDir + "/cell_" + std::to_string(i) + "_" +
                        std::to_string(cells[i].robSize) + "x2.manifest.json");
@@ -213,172 +213,154 @@ TEST(Grid, IncrementalSessionCatchesInjectedBug) {
     const auto results = runGrid(cells, opts);
     ASSERT_EQ(results.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      EXPECT_EQ(results[i].report.verdict(),
+      EXPECT_EQ(results[i].response.verdict,
                 i == 2 ? Verdict::RewriteMismatch : Verdict::Correct)
           << "jobs " << jobs << " cell " << i;
-      EXPECT_EQ(reportCounters(results[i].report), reportCounters(fresh[i]))
+      EXPECT_EQ(results[i].response.counters, reportCounters(fresh[i]))
           << "jobs " << jobs << " cell " << i;
     }
   }
 }
 
+// The checkpoint/resume tests below are named after the per-grid checkpoint
+// file the result store replaced; a grid with a cacheDir opens the store,
+// restores what it holds and appends every other finished cell.
+
 TEST(Grid, CheckpointResumeRestoresEveryFinishedCell) {
-  // Round trip: a full sweep with a checkpoint, then the same sweep with
-  // --resume, must restore every cell — same verdict and the exact
-  // paper-aligned counter set (reportCounters is the flatten,
-  // checkpoint restore is its inverse).
+  // Round trip: a full sweep with a store, then the same sweep over the
+  // same store, must restore every cell — same verdict and the exact
+  // paper-aligned counter set (a stored cell is its VerifyResponse line).
   const auto cells = makeGridRequests(std::vector<unsigned>{2, 3},
                                       std::vector<unsigned>{1, 2});
-  const std::string path = checkpointPath("roundtrip");
+  GridRunOptions opts;
+  opts.jobs = 3;  // concurrent cells look up and append
+  opts.cacheDir = storeDir("roundtrip");
 
-  GridRunOptions first;
-  first.checkpointPath = path;
-  const auto baseline = runGrid(cells, first);
-  ASSERT_TRUE(std::filesystem::exists(path));
-
-  GridRunOptions second;
-  second.checkpointPath = path;
-  second.resume = true;
-  const auto resumed = runGrid(cells, second);
+  const auto baseline = runGrid(cells, opts);
+  ASSERT_TRUE(std::filesystem::exists(opts.cacheDir + "/results.jsonl"));
+  const auto resumed = runGrid(cells, opts);
 
   ASSERT_EQ(resumed.size(), baseline.size());
   for (std::size_t i = 0; i < resumed.size(); ++i) {
     EXPECT_FALSE(baseline[i].restored) << "cell " << i;
     EXPECT_TRUE(resumed[i].restored) << "cell " << i;
     EXPECT_EQ(resumed[i].cell.robSize, cells[i].robSize);
-    EXPECT_EQ(resumed[i].report.verdict(), baseline[i].report.verdict());
-    EXPECT_EQ(reportCounters(resumed[i].report),
-              reportCounters(baseline[i].report))
+    EXPECT_EQ(resumed[i].response.verdict, baseline[i].response.verdict);
+    EXPECT_EQ(resumed[i].response.counters, baseline[i].response.counters)
         << "cell " << i;
   }
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(opts.cacheDir);
 }
 
 TEST(Grid, ResumeVerifiesOnlyUnfinishedCells) {
-  // A killed sweep leaves a prefix in the checkpoint; resuming over the
-  // full request list must restore exactly that prefix and verify the
-  // rest. Records are keyed by the request's content (cacheKey), not by
-  // grid position — the resumed list is deliberately reversed to prove
-  // it.
+  // A killed sweep leaves a prefix in the store; re-running the full
+  // request list must restore exactly that prefix and verify the rest.
+  // Records are keyed by the request's content (cacheKey), not by grid
+  // position — the second list is deliberately reversed to prove it.
   const auto cells = makeGridRequests(std::vector<unsigned>{2, 3, 4},
                                       std::vector<unsigned>{1});
   ASSERT_EQ(cells.size(), 3u);
-  const std::string path = checkpointPath("prefix");
+  GridRunOptions opts;
+  opts.cacheDir = storeDir("prefix");
 
   const std::vector<VerifyRequest> prefix(cells.begin(), cells.begin() + 2);
-  GridRunOptions first;
-  first.checkpointPath = path;
-  runGrid(prefix, first);
+  runGrid(prefix, opts);
 
   std::vector<VerifyRequest> reversed(cells.rbegin(), cells.rend());
-  GridRunOptions second;
-  second.checkpointPath = path;
-  second.resume = true;
-  const auto full = runGrid(reversed, second);
+  const auto full = runGrid(reversed, opts);
 
   ASSERT_EQ(full.size(), 3u);
-  EXPECT_FALSE(full[0].restored);  // ROB 4: never checkpointed
+  EXPECT_FALSE(full[0].restored);  // ROB 4: never stored
   EXPECT_TRUE(full[1].restored);   // ROB 3
   EXPECT_TRUE(full[2].restored);   // ROB 2
   for (const GridCellResult& r : full)
-    EXPECT_EQ(r.report.verdict(), Verdict::Correct);
-  std::filesystem::remove(path);
+    EXPECT_EQ(r.response.verdict, Verdict::Correct);
+  std::filesystem::remove_all(opts.cacheDir);
 }
 
 TEST(Grid, CheckpointRestoresInjectedBugVerdict) {
-  // Failure verdicts are results too: a RewriteMismatch recorded in the
-  // checkpoint comes back with its failed slice, not as a re-run.
+  // Failure verdicts are results too: a RewriteMismatch in the store comes
+  // back with its failed slice, not as a re-run.
   std::vector<VerifyRequest> cells =
       makeGridRequests(std::vector<unsigned>{4}, std::vector<unsigned>{2});
   cells[0].bug.kind = models::BugKind::ForwardingWrongOperand;
   cells[0].bug.index = 2;
-  const std::string path = checkpointPath("bug");
 
   GridRunOptions opts;
-  opts.checkpointPath = path;
+  opts.cacheDir = storeDir("bug");
   runGrid(cells, opts);
 
-  opts.resume = true;
   const auto resumed = runGrid(cells, opts);
   ASSERT_EQ(resumed.size(), 1u);
   EXPECT_TRUE(resumed[0].restored);
-  EXPECT_EQ(resumed[0].report.verdict(), Verdict::RewriteMismatch);
-  EXPECT_EQ(resumed[0].report.outcome.failedSlice, 2u);
-  std::filesystem::remove(path);
-}
-
-TEST(Grid, CheckpointWithoutResumeRerunsEveryCell) {
-  // checkpointPath alone only *writes*; restoring is opt-in via resume,
-  // so a deliberate re-verification is still possible.
-  const auto cells =
-      makeGridRequests(std::vector<unsigned>{2}, std::vector<unsigned>{1});
-  const std::string path = checkpointPath("noresume");
-
-  GridRunOptions opts;
-  opts.checkpointPath = path;
-  runGrid(cells, opts);
-  const auto again = runGrid(cells, opts);  // resume still false
-  ASSERT_EQ(again.size(), 1u);
-  EXPECT_FALSE(again[0].restored);
-  EXPECT_EQ(again[0].report.verdict(), Verdict::Correct);
-  std::filesystem::remove(path);
+  EXPECT_EQ(resumed[0].response.verdict, Verdict::RewriteMismatch);
+  EXPECT_EQ(resumed[0].response.failedSlice, 2u);
+  std::filesystem::remove_all(opts.cacheDir);
 }
 
 TEST(Grid, ChangedRequestIsNotRestored) {
-  // The checkpoint key hashes the whole request: the same grid cell under
-  // a different strategy is a different verification and must re-run.
+  // The store key hashes the whole request: the same grid cell under a
+  // different strategy is a different verification and must re-run.
   std::vector<VerifyRequest> cells =
       makeGridRequests(std::vector<unsigned>{3}, std::vector<unsigned>{1});
-  const std::string path = checkpointPath("changed");
-
   GridRunOptions opts;
-  opts.checkpointPath = path;
+  opts.cacheDir = storeDir("changed");
   runGrid(cells, opts);
 
   cells[0].strategy = Strategy::PositiveEqualityOnly;
-  opts.resume = true;
   const auto resumed = runGrid(cells, opts);
   ASSERT_EQ(resumed.size(), 1u);
   EXPECT_FALSE(resumed[0].restored);
-  EXPECT_EQ(resumed[0].report.verdict(), Verdict::Correct);
-  std::filesystem::remove(path);
+  EXPECT_EQ(resumed[0].response.verdict, Verdict::Correct);
+  std::filesystem::remove_all(opts.cacheDir);
 }
 
 TEST(Grid, CorruptCheckpointDegradesToFullRun) {
-  // A truncated, malformed, or future-versioned checkpoint must never
-  // fail the sweep — it degrades to a full re-run (and is then
-  // overwritten with good records).
+  // A missing, malformed, future-versioned or foreign-build header, or a
+  // malformed record, must never fail the sweep: the cell is not restored
+  // and simply verifies again. Each file carries the cell's real record, so
+  // only the damage can be what keeps it from being restored.
   const auto cells =
       makeGridRequests(std::vector<unsigned>{2}, std::vector<unsigned>{1});
-  for (const char* body :
-       {"not json at all", "{\"version\": 99, \"cells\": []}",
-        "{\"version\": 1, \"cells\": \"oops\"}"}) {
-    const std::string path = checkpointPath("corrupt");
-    std::ofstream(path) << body;
-    GridRunOptions opts;
-    opts.checkpointPath = path;
-    opts.resume = true;
+  GridRunOptions opts;
+  opts.cacheDir = storeDir("corrupt");
+  runGrid(cells, opts);
+  std::ifstream in(opts.cacheDir + "/results.jsonl");
+  std::string header, record;
+  ASSERT_TRUE(std::getline(in, header) && std::getline(in, record));
+  in.close();
+
+  const std::string foreignBuild = "{\"version\":" +
+                                   std::to_string(kResponseSchemaVersion) +
+                                   ",\"git_describe\":\"some-other-build\"}";
+  for (const std::string& body :
+       {"not json at all\n" + record,
+        "{\"version\":99,\"git_describe\":\"" +
+            std::string(trace::gitDescribe()) + "\"}\n" + record,
+        foreignBuild + "\n" + record,
+        header + "\n{\"version\": 1, \"cells\": \"oops\"}\n"}) {
+    std::ofstream(opts.cacheDir + "/results.jsonl", std::ios::trunc) << body;
     const auto results = runGrid(cells, opts);
     ASSERT_EQ(results.size(), 1u);
     EXPECT_FALSE(results[0].restored) << body;
-    EXPECT_EQ(results[0].report.verdict(), Verdict::Correct);
-    std::filesystem::remove(path);
+    EXPECT_EQ(results[0].response.verdict, Verdict::Correct);
   }
+  std::filesystem::remove_all(opts.cacheDir);
 }
 
 TEST(Grid, ResumeWithMissingCheckpointIsFreshRun) {
   const auto cells =
       makeGridRequests(std::vector<unsigned>{2}, std::vector<unsigned>{1});
-  const std::string path = checkpointPath("missing");  // removed, never made
   GridRunOptions opts;
-  opts.checkpointPath = path;
-  opts.resume = true;
+  opts.cacheDir = storeDir("missing");  // removed, never made
   const auto results = runGrid(cells, opts);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].restored);
-  EXPECT_EQ(results[0].report.verdict(), Verdict::Correct);
-  EXPECT_TRUE(std::filesystem::exists(path));  // fresh records were written
-  std::filesystem::remove(path);
+  EXPECT_EQ(results[0].response.verdict, Verdict::Correct);
+  // The store was created and holds the fresh record.
+  EXPECT_TRUE(std::filesystem::exists(opts.cacheDir + "/results.jsonl"));
+  EXPECT_TRUE(runGrid(cells, opts)[0].restored);
+  std::filesystem::remove_all(opts.cacheDir);
 }
 
 TEST(Grid, EmptyGridIsFine) {

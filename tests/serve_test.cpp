@@ -1,33 +1,42 @@
 // Tests for the velev_serve surface: the schema-versioned
 // VerifyRequest/VerifyResponse JSON round trip (strict parsing — unknown
-// fields, bad versions and unknown enum names are rejected), the
-// content-addressed ResultCache (hit/owner/joined, coalescing, LRU, the
-// uncacheable-Timeout policy), the in-process VerifyServer (caching,
-// coalescing under concurrency, budget verdicts and their exit codes,
-// malformed-line handling, control ops) and the socket client against a
-// live server — cached answers must be identical to a fresh in-process
-// verification.
+// fields, bad versions, unknown enum names and numbers a field cannot hold
+// are rejected), the content-addressed ResultCache (hit/owner/joined,
+// coalescing, LRU, the uncacheable-Timeout policy), the result store that
+// persists it (and the grid's results), the in-process VerifyServer
+// (caching, coalescing under concurrency, budget verdicts and their exit
+// codes, malformed-line handling, control ops) and the socket client
+// against a live server — cached answers must be identical to a fresh
+// in-process verification.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <future>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/grid_runner.hpp"
 #include "core/request.hpp"
+#include "core/result_store.hpp"
 #include "sat/memo.hpp"
 #include "serve/cache.hpp"
 #include "serve/client.hpp"
-#include "serve/journal.hpp"
 #include "serve/server.hpp"
 #include "serve/supervisor.hpp"
 #include "support/json.hpp"
@@ -167,6 +176,31 @@ TEST(ServeRequest, ValidateRejectsOutOfRangeValues) {
   req.bug = {models::BugKind::ForwardingWrongOperand, 100000};
   EXPECT_TRUE(req.validate().has_value());
   EXPECT_FALSE(smallRequest().validate().has_value());
+
+  // The wire parser refuses an integer its field cannot hold exactly,
+  // before any cast: no wrap-around onto another cell's cache key, no
+  // truncated fraction, no out-of-range (undefined) float-to-int cast.
+  for (const char* text :
+       {"{\"version\": 1, \"rob_size\": 4294967298}",
+        "{\"version\": 1, \"rob_size\": 2.7}",
+        "{\"version\": 1, \"rob_size\": 1e30}",
+        "{\"version\": 1, \"rob_size\": 8, \"issue_width\": 4294967297}",
+        "{\"version\": 1, \"bug_kind\": \"fwd\", \"bug_index\": 4294967298}",
+        "{\"version\": 1, \"id\": -1}",
+        "{\"version\": 1, \"memory_budget_bytes\": 1.5}",
+        "{\"version\": 1, \"memory_budget_bytes\": 18446744073709551616}",
+        "{\"version\": 1, \"sat_conflict_budget\": -1e30}",
+        "{\"version\": 1e30}"}) {
+    std::string err;
+    EXPECT_FALSE(core::VerifyRequest::parse(text, &err).has_value()) << text;
+    EXPECT_FALSE(err.empty()) << text;
+  }
+  std::string err;
+  const auto widest = core::VerifyRequest::parse(
+      "{\"version\": 1, \"rob_size\": 4294967295, \"sat_conflict_budget\": -1}",
+      &err);
+  ASSERT_TRUE(widest.has_value()) << err;
+  EXPECT_EQ(widest->robSize, 4294967295u);
 }
 
 TEST(ServeRequest, CacheKeyIgnoresIdButTracksSemantics) {
@@ -210,6 +244,24 @@ TEST(ServeResponse, JsonRoundTrip) {
   EXPECT_EQ(back->exitCode, 1);
   EXPECT_DOUBLE_EQ(back->seconds.sim, 0.1);
   EXPECT_EQ(back->counters, resp.counters);
+
+  // A damaged answer is refused, not read with wrong numbers: counters are
+  // non-negative integers, stage_seconds members are numbers named after a
+  // stage, and integer fields must fit their type exactly.
+  const std::string head =
+      "{\"version\": 1, \"cache_key\": \"00deadbeef00cafe\", ";
+  for (const char* tail :
+       {"\"counters\": {\"sat.conflicts\": \"7\"}}",
+        "\"counters\": {\"sat.conflicts\": -5}}",
+        "\"counters\": {\"sat.conflicts\": 2.5}}",
+        "\"counters\": {\"sat.conflicts\": 1e30}}",
+        "\"failed_slice\": 4294967298}", "\"exit_code\": 1e30}",
+        "\"peak_arena_bytes\": -1}", "\"stage_seconds\": {\"sat\": \"0.5\"}}",
+        "\"stage_seconds\": {\"warp\": 0.5}}"}) {
+    EXPECT_FALSE(core::VerifyResponse::parse(head + tail, &err).has_value())
+        << tail;
+    EXPECT_FALSE(err.empty()) << tail;
+  }
 }
 
 TEST(ServeResponse, ErrorResponseRoundTrip) {
@@ -462,6 +514,14 @@ TEST(ServeServer, MalformedAndInvalidLinesGetErrorResponses) {
   EXPECT_EQ(resp->id, 5u);
   EXPECT_FALSE(resp->error.empty());
   EXPECT_EQ(resp->exitCode, 2);
+
+  // An id no uint64 can hold is not salvaged (nor cast): the error goes to
+  // id 0.
+  resp = core::VerifyResponse::parse(
+      server.handleLine("{\"version\": 1, \"id\": 1e30}"), &err);
+  ASSERT_TRUE(resp.has_value()) << err;
+  EXPECT_EQ(resp->id, 0u);
+  EXPECT_FALSE(resp->error.empty());
 }
 
 TEST(ServeServer, ControlOpsAnswerInline) {
@@ -546,6 +606,58 @@ TEST(ServeSocket, EphemeralTcpPortServesRequests) {
     EXPECT_EQ(resp->id, 3u);
   }
   server.stop();
+}
+
+TEST(ServeSocket, OverlongLineGetsOneErrorThenEof) {
+  // A client that never sends '\n' must not grow the server's buffer: past
+  // the 1 MiB line cap it gets one error line and the connection closes.
+  serve::ServerOptions opts;
+  opts.tcpPort = 0;
+  serve::VerifyServer server(opts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.tcpPort()));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  // Sending stops at the first failure (the server shut the connection);
+  // the send timeout bounds a send the server no longer reads.
+  const timeval sendTimeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &sendTimeout, sizeof sendTimeout);
+  std::thread sender([fd] {
+    const std::string chunk(64 * 1024, 'x');
+    for (int i = 0; i < 32; ++i)  // 2 MiB, no newline
+      if (::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL) <= 0) return;
+  });
+
+  std::string received;
+  bool eof = false;
+  const Timer t;
+  while (!eof && t.seconds() < 10) {
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, 100) <= 0) continue;
+    char buf[4096];
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0)
+      eof = true;
+    else
+      received.append(buf, static_cast<std::size_t>(n));
+  }
+  sender.join();
+  ::close(fd);
+  server.stop();
+
+  EXPECT_TRUE(eof) << "no EOF after " << t.seconds() << " s";
+  ASSERT_EQ(std::count(received.begin(), received.end(), '\n'), 1)
+      << received;
+  const auto resp = core::VerifyResponse::parse(received, &err);
+  ASSERT_TRUE(resp.has_value()) << err;
+  EXPECT_FALSE(resp->error.empty());
+  EXPECT_EQ(resp->exitCode, 2);
 }
 
 // ---- per-worker solve memo --------------------------------------------------
@@ -662,115 +774,169 @@ TEST(ServeMemo, MemoryBudgetTurnsTheMemoOff) {
   EXPECT_EQ(memo.hits(), 0u);
 }
 
-// ---- persistent cache journal -----------------------------------------------
+// ---- result store -----------------------------------------------------------
+// The ServeJournal tests are named after the segment journal the result
+// store (core/result_store.hpp) replaced.
 
-core::VerifyResponse cacheableResponse(std::uint64_t id,
+/// A storable response under cache key `key` (as 16 hex digits).
+core::VerifyResponse cacheableResponse(std::uint64_t key,
                                        std::uint64_t counterValue) {
   core::VerifyResponse r;
-  r.id = id;
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(key));
+  r.cacheKey = hex;
   r.verdict = core::Verdict::Correct;
   r.exitCode = 0;
   r.counters = {{"slices", counterValue}};
   return r;
 }
 
+std::vector<std::string> storeLines(const std::string& dir) {
+  std::ifstream in(std::filesystem::path(dir) / "results.jsonl");
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
 TEST(ServeJournal, RoundTripAcrossRestart) {
-  serve::CacheJournal::Options jo;
-  jo.dir = freshDir("journal_rt");
+  const std::string dir = freshDir("journal_rt");
   {
-    serve::CacheJournal j(jo);
-    j.append(10, cacheableResponse(1, 4));
-    j.append(20, cacheableResponse(2, 8));
-    EXPECT_EQ(j.segmentCount(), 2u);
+    core::ResultStore store(dir);
+    EXPECT_TRUE(store.records().empty());
+    EXPECT_TRUE(store.put(cacheableResponse(10, 4)));
+    EXPECT_TRUE(store.put(cacheableResponse(20, 8)));
   }
 
-  // "Restart": a fresh instance replays the directory.
-  serve::CacheJournal j2(jo);
-  serve::CacheJournal::LoadStats ls;
-  const auto entries = j2.load(&ls);
-  EXPECT_EQ(ls.segments, 2u);
-  EXPECT_EQ(ls.skippedSegments, 0u);
-  EXPECT_EQ(ls.skippedEntries, 0u);
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].first, 10u);
-  EXPECT_EQ(entries[0].second.counters, cacheableResponse(1, 4).counters);
-  EXPECT_EQ(entries[1].first, 20u);
+  // "Restart": a fresh instance reads the directory back, in file order.
+  core::ResultStore store2(dir);
+  const auto& records = store2.records();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].cacheKey, cacheableResponse(10, 4).cacheKey);
+  EXPECT_EQ(records[0].counters, cacheableResponse(10, 4).counters);
+  EXPECT_EQ(records[1].cacheKey, cacheableResponse(20, 8).cacheKey);
+  ASSERT_NE(store2.find(cacheableResponse(20, 8).cacheKey), nullptr);
+  EXPECT_EQ(store2.find(cacheableResponse(30, 1).cacheKey), nullptr);
 
-  // Later segments win on duplicate keys.
-  j2.append(10, cacheableResponse(3, 99));
-  serve::CacheJournal j3(jo);
-  const auto again = j3.load();
-  ASSERT_EQ(again.size(), 2u);
-  for (const auto& [key, resp] : again) {
-    if (key == 10) {
-      EXPECT_EQ(resp.counters, cacheableResponse(3, 99).counters);
-    }
-  }
+  // A later line wins on a repeated key.
+  EXPECT_TRUE(store2.put(cacheableResponse(10, 99)));
+  core::ResultStore store3(dir);
+  ASSERT_EQ(store3.records().size(), 2u);
+  const core::VerifyResponse* again =
+      store3.find(cacheableResponse(10, 99).cacheKey);
+  ASSERT_NE(again, nullptr);
+  EXPECT_EQ(again->counters, cacheableResponse(10, 99).counters);
 }
 
 TEST(ServeJournal, TimeoutAndErrorNeverPersisted) {
-  serve::CacheJournal::Options jo;
-  jo.dir = freshDir("journal_policy");
-  serve::CacheJournal j(jo);
+  const std::string dir = freshDir("journal_policy");
+  core::ResultStore store(dir);
 
   core::VerifyResponse timeout = cacheableResponse(1, 1);
   timeout.verdict = core::Verdict::Timeout;
   timeout.exitCode = 4;
-  j.append(1, timeout);
-  j.append(2, core::VerifyResponse::makeError(2, "boom"));
-  EXPECT_EQ(j.segmentCount(), 0u);
+  EXPECT_FALSE(store.put(timeout));
+  core::VerifyResponse error = core::VerifyResponse::makeError(2, "boom");
+  error.cacheKey = cacheableResponse(2, 0).cacheKey;
+  EXPECT_FALSE(store.put(error));
+  core::VerifyResponse skipped = cacheableResponse(3, 1);
+  skipped.verdict = core::Verdict::Skipped;
+  EXPECT_FALSE(store.put(skipped));
+  core::VerifyResponse unkeyed = cacheableResponse(4, 1);
+  unkeyed.cacheKey = "not-a-key";
+  EXPECT_FALSE(store.put(unkeyed));
+  EXPECT_EQ(storeLines(dir).size(), 1u);  // the header alone
 
-  serve::CacheJournal j2(jo);
-  serve::CacheJournal::LoadStats ls;
-  EXPECT_TRUE(j2.load(&ls).empty());
-  EXPECT_EQ(ls.segments, 0u);
+  core::ResultStore store2(dir);
+  EXPECT_TRUE(store2.records().empty());
 }
 
 TEST(ServeJournal, CorruptSegmentsDegradeToCold) {
-  serve::CacheJournal::Options jo;
-  jo.dir = freshDir("journal_corrupt");
+  const std::string dir = freshDir("journal_corrupt");
+  const std::string file = dir + "/results.jsonl";
   {
-    serve::CacheJournal j(jo);
-    j.append(10, cacheableResponse(1, 4));
-    j.append(20, cacheableResponse(2, 8));
+    core::ResultStore store(dir);
+    store.put(cacheableResponse(10, 4));
+    store.put(cacheableResponse(20, 8));
   }
-  // Tear the first segment (torn-disk simulation) ...
-  { std::ofstream(std::filesystem::path(jo.dir) / "seg-1.json",
-                  std::ios::trunc)
-        << "{\"version\": 1, \"git_desc"; }
-  // ... and plant a segment written by a "different binary".
-  { std::ofstream(std::filesystem::path(jo.dir) / "seg-7.json")
-        << "{\"version\": 1, \"git_describe\": \"some-other-build\", "
-           "\"entries\": [{\"key\": \"000000000000002a\", \"response\": "
-        << cacheableResponse(9, 1).toJson() << "}]}"; }
+  std::string intact;
+  {
+    std::ifstream in(file);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    intact = ss.str();
+  }
+  // The last record spans [lastStart, lastEnd); its '\n' ends the file.
+  const std::size_t lastEnd = intact.size() - 1;
+  const std::size_t lastStart = intact.rfind('\n', lastEnd - 1) + 1;
+  auto reopenRestores = [&](const std::string& body,
+                            std::vector<std::uint64_t> keys,
+                            const std::string& what) {
+    std::ofstream(file, std::ios::trunc) << body;
+    {
+      core::ResultStore store(dir);
+      ASSERT_EQ(store.records().size(), keys.size()) << what;
+      for (std::size_t i = 0; i < keys.size(); ++i)
+        EXPECT_EQ(store.records()[i].cacheKey,
+                  cacheableResponse(keys[i], 0).cacheKey)
+            << what;
+      // A put after the fold reads back: the torn tail is gone.
+      EXPECT_TRUE(store.put(cacheableResponse(99, 7))) << what;
+    }
+    core::ResultStore again(dir);
+    keys.push_back(99);
+    ASSERT_EQ(again.records().size(), keys.size()) << what;
+    EXPECT_EQ(again.records().back().counters,
+              cacheableResponse(99, 7).counters)
+        << what;
+  };
 
-  serve::CacheJournal j2(jo);
-  serve::CacheJournal::LoadStats ls;
-  const auto entries = j2.load(&ls);
-  EXPECT_EQ(ls.segments, 3u);
-  EXPECT_EQ(ls.skippedSegments, 2u);  // torn + stale-binary, never an error
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].first, 20u);
+  // A write torn at every byte inside the last record: only it is lost.
+  for (std::size_t cut = lastStart; cut < lastEnd; ++cut)
+    reopenRestores(intact.substr(0, cut), {10},
+                   "cut at " + std::to_string(cut));
+
+  // A header from another build or schema drops the whole file.
+  const std::string header = intact.substr(0, intact.find('\n'));
+  const std::string records = intact.substr(intact.find('\n') + 1);
+  const std::string version = std::to_string(core::kResponseSchemaVersion);
+  reopenRestores("{\"version\": " + version +
+                     ", \"git_describe\": \"some-other-build\"}\n" + records,
+                 {}, "stale git_describe");
+  reopenRestores("{\"version\": " + version + "0, \"git_describe\": \"" +
+                     trace::gitDescribe() + "\"}\n" + records,
+                 {}, "wrong version");
+  reopenRestores(records, {}, "no header");
+
+  // A garbage line costs that line only.
+  reopenRestores(header + "\ngarbage {\n" + records, {10, 20}, "garbage line");
 }
 
 TEST(ServeJournal, CompactionFoldsSegments) {
-  serve::CacheJournal::Options jo;
-  jo.dir = freshDir("journal_compact");
-  jo.compactThreshold = 2;
-  serve::CacheJournal j(jo);
-  for (std::uint64_t key = 1; key <= 4; ++key)
-    j.append(key, cacheableResponse(key, key * 10));
-  // Appends beyond the threshold fold every live entry into one segment.
-  EXPECT_LE(j.segmentCount(), 2u);
+  const std::string dir = freshDir("journal_compact");
+  {
+    core::ResultStore store(dir);
+    for (std::uint64_t round = 1; round <= 3; ++round)
+      for (std::uint64_t key = 1; key <= 4; ++key)
+        store.put(cacheableResponse(key, key * 10 + round));
+  }
+  EXPECT_EQ(storeLines(dir).size(), 1u + 12u);  // appends only, until open
 
-  serve::CacheJournal j2(jo);
-  serve::CacheJournal::LoadStats ls;
-  const auto entries = j2.load(&ls);
-  EXPECT_EQ(ls.skippedSegments, 0u);
-  ASSERT_EQ(entries.size(), 4u);
-  for (const auto& [key, resp] : entries)
-    EXPECT_EQ(resp.counters,
-              cacheableResponse(key, key * 10).counters);
+  // Opening folds: each repeated key collapses to its last value, and the
+  // file holds the header plus exactly one line per key.
+  core::ResultStore store(dir);
+  ASSERT_EQ(store.records().size(), 4u);
+  for (const core::VerifyResponse& r : store.records()) {
+    const std::uint64_t key = std::stoull(r.cacheKey, nullptr, 16);
+    EXPECT_EQ(r.counters, cacheableResponse(key, key * 10 + 3).counters);
+  }
+  const std::vector<std::string> lines = storeLines(dir);
+  ASSERT_EQ(lines.size(), 1u + 4u);
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    const auto rec = core::VerifyResponse::parse(lines[i]);
+    ASSERT_TRUE(rec.has_value()) << lines[i];
+    EXPECT_EQ(rec->cacheKey, store.records()[i - 1].cacheKey);
+  }
 }
 
 TEST(ServeJournal, SeedPopulatesCacheWithoutTouchingTraffic) {
@@ -815,7 +981,7 @@ TEST(ServePersist, WarmRestartServesFromJournal) {
   serve::ServerOptions opts;
   opts.cacheDir = dir;
   serve::VerifyServer b(opts);
-  EXPECT_GE(b.collector().counter("serve.journal.restored"), 1u);
+  EXPECT_GE(b.collector().counter("store.restored"), 1u);
 
   // The warm answer IS the persisted result: cached, verdict and counters
   // identical to the pre-restart fresh verification.
@@ -831,6 +997,81 @@ TEST(ServePersist, WarmRestartServesFromJournal) {
   // runs fresh.
   timeout.id = 3;
   EXPECT_FALSE(handle(b, timeout).cached);
+}
+
+TEST(ServePersist, GridAndDaemonShareOneStore) {
+  // One store, two tools: the cells a grid run stored are cache hits for a
+  // daemon opened on the same directory, with the grid cell's verdict and
+  // counter block.
+  const std::string dir = freshDir("shared");
+  const std::vector<core::VerifyRequest> cells = core::makeGridRequests(
+      std::vector<unsigned>{3, 4}, std::vector<unsigned>{2});
+  core::GridRunOptions gopts;
+  gopts.cacheDir = dir;
+  const auto grid = core::runGrid(cells, gopts);
+  ASSERT_EQ(grid.size(), cells.size());
+
+  serve::ServerOptions opts;
+  opts.cacheDir = dir;
+  serve::VerifyServer server(opts);
+  EXPECT_EQ(server.collector().counter("store.restored"), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    core::VerifyRequest req = cells[i];
+    req.id = 40 + i;
+    const core::VerifyResponse resp = handle(server, req);
+    EXPECT_TRUE(resp.cached) << "cell " << i;
+    EXPECT_EQ(resp.id, req.id);
+    EXPECT_EQ(resp.verdict, grid[i].response.verdict) << "cell " << i;
+    EXPECT_EQ(resp.counters, grid[i].response.counters) << "cell " << i;
+  }
+  const auto cs = server.cacheStats();
+  EXPECT_EQ(cs.hits, cells.size());
+  EXPECT_EQ(cs.misses, 0u);
+}
+
+TEST(ServePersist, FallbackCellRestoresThroughTheStore) {
+  // Calibrated like BudgetGrid.FallbackRetriesMemOutCellWithRewriting: the
+  // PE-only attempt trips memout, its rewriting retry fits.
+  core::VerifyRequest rw;
+  rw.robSize = 16;
+  rw.issueWidth = 2;
+  const core::VerifyReport rwRep = core::verify(rw);
+  ASSERT_EQ(rwRep.verdict(), core::Verdict::Correct);
+  core::VerifyRequest pe = rw;
+  pe.strategy = core::Strategy::PositiveEqualityOnly;
+  pe.memoryBudgetBytes = rwRep.outcome.peakArenaBytes * 2;
+  const std::vector<core::VerifyRequest> cells = {pe};
+
+  const std::string dir = freshDir("fallback");
+  core::GridRunOptions gopts;
+  gopts.fallback = core::FallbackPolicy::RetryWithRewriting;
+  gopts.cacheDir = dir;
+  const auto first = core::runGrid(cells, gopts);
+  const auto second = core::runGrid(cells, gopts);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_FALSE(first[0].restored);
+  ASSERT_TRUE(first[0].fellBack);
+  EXPECT_TRUE(second[0].restored);
+  EXPECT_TRUE(second[0].fellBack);
+  EXPECT_EQ(second[0].firstVerdict, core::Verdict::MemOut);
+  EXPECT_EQ(second[0].response.verdict, core::Verdict::Correct);
+  EXPECT_EQ(second[0].response.counters, first[0].response.counters);
+
+  // Each attempt is stored under its own request, so a daemon on the same
+  // store answers the PE-only request with memout, not the retry's correct.
+  serve::ServerOptions opts;
+  opts.cacheDir = dir;
+  serve::VerifyServer server(opts);
+  const core::VerifyResponse asPe = handle(server, pe);
+  EXPECT_TRUE(asPe.cached);
+  EXPECT_EQ(asPe.verdict, core::Verdict::MemOut);
+  core::VerifyRequest retry = pe;
+  retry.strategy = core::Strategy::RewritingPlusPositiveEquality;
+  const core::VerifyResponse asRetry = handle(server, retry);
+  EXPECT_TRUE(asRetry.cached);
+  EXPECT_EQ(asRetry.verdict, core::Verdict::Correct);
+  EXPECT_EQ(asRetry.counters, first[0].response.counters);
 }
 
 // ---- worker pool: fault injection -------------------------------------------

@@ -16,6 +16,11 @@
    addCounter/setCounter/maxCounter under src/ and tools/ must appear in
    backticks in docs/TRACE_FORMAT.md. Names built at run time are
    documented by hand.
+5. The converse: every backticked name in the first column of a
+   docs/TRACE_FORMAT.md table row must occur as a string literal under src/
+   or tools/, so a row cannot outlive the code that recorded it. Names
+   containing `<` are placeholders for names built at run time and are
+   skipped.
 
 Exits non-zero with one line per problem.
 """
@@ -117,6 +122,31 @@ def check_trace_names(errors):
                 )
 
 
+STRING_LITERAL_RE = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
+TABLE_NAME_RE = re.compile(r"`([^`]+)`")
+
+
+def check_trace_rows(errors):
+    trace_doc = REPO / "docs" / "TRACE_FORMAT.md"
+    if not trace_doc.is_file():
+        return  # reported by check_trace_names
+    literals = set()
+    for top in ("src", "tools"):
+        for src in (REPO / top).rglob("*.[ch]pp"):
+            literals.update(
+                STRING_LITERAL_RE.findall(src.read_text(encoding="utf-8")))
+    for line in trace_doc.read_text(encoding="utf-8").splitlines():
+        cells = line.split("|")
+        if not line.startswith("|") or len(cells) < 3:
+            continue
+        for name in TABLE_NAME_RE.findall(cells[1]):
+            if "<" not in name and name not in literals:
+                errors.append(
+                    f"docs/TRACE_FORMAT.md: table row names `{name}`, which "
+                    f"no string literal under src/ or tools/ records"
+                )
+
+
 def main():
     errors = []
     files = doc_files()
@@ -127,6 +157,7 @@ def main():
     check_architecture_coverage(errors)
     check_bench_coverage(errors)
     check_trace_names(errors)
+    check_trace_rows(errors)
     if errors:
         for e in errors:
             print(f"check_docs: {e}", file=sys.stderr)

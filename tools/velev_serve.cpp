@@ -28,8 +28,11 @@
 //   --batch           batching lane: group compatible queued requests
 //                     (same cell modulo ROB size) per worker dispatch
 //   --cache N         result-cache capacity in entries (default 1024)
-//   --cache-dir PATH  persist the result cache as a segment journal in
-//                     PATH and restore it on startup (default: memory-only)
+//   --cache-dir DIR   back the result cache with the result store in DIR
+//                     (DIR/results.jsonl, one VerifyResponse per line; the
+//                     store `velev_verify --grid --cache-dir` keeps too):
+//                     restored on startup, appended on every storable
+//                     answer (default: memory-only)
 //   --max-timeout S   admission cap: clamp every request's wall-clock
 //                     budget to at most S seconds (default: uncapped)
 //   --max-mem MB      admission cap: clamp every request's memory budget
@@ -50,7 +53,8 @@
 //
 // Control ops on any connection: {"op":"ping"}, {"op":"stats"},
 // {"op":"shutdown"} (answers, then the daemon exits cleanly). SIGINT and
-// SIGTERM also shut down cleanly.
+// SIGTERM also shut down cleanly. A request line longer than 1 MiB gets one
+// error response, and its connection is closed.
 //
 // Exit code: 0 on a clean shutdown, 2 on usage/startup errors.
 #include <unistd.h>
@@ -199,7 +203,7 @@ int main(int argc, char** argv) {
       std::printf("jobs: %u, cache: %zu entries\n", opts.jobs,
                   opts.cacheMaxEntries);
     if (!opts.cacheDir.empty())
-      std::printf("cache journal: %s\n", opts.cacheDir.c_str());
+      std::printf("result store: %s\n", opts.cacheDir.c_str());
     std::fflush(stdout);
   }
 

@@ -29,13 +29,12 @@
 //                     identical to --cell-jobs 1 — this only buys wall
 //                     clock on big-N cells (docs/SCALING.md). Applies to
 //                     single mode and grid mode alike; orthogonal to --jobs
-//   --checkpoint FILE grid mode: after every finished cell, atomically
-//                     rewrite FILE with one record per completed cell
-//                     (schema: docs/SCALING.md), so a killed sweep loses at
-//                     most the cells in flight
-//   --resume          grid mode, with --checkpoint: restore the cells whose
-//                     records are already in FILE instead of re-verifying
-//                     them; only unfinished cells run
+//   --cache-dir DIR   grid mode: keep the result store in DIR (the store
+//                     `velev_serve --cache-dir` uses; docs/SERVICE.md).
+//                     Cells already in it are restored instead of verified
+//                     ("restored from cache"); every other finished cell is
+//                     appended, so a killed sweep loses at most the cells in
+//                     flight. `timeout` cells are not stored and run again
 //   --strategy S      rewrite (default) | pe
 //   --engine E        sat (default) | bdd | both. `bdd` evaluates the
 //                     negated correctness formula with shared ROBDDs built
@@ -73,7 +72,7 @@
 //                     the local run; answers served from the daemon's
 //                     result cache print a [cached] marker. Local-run
 //                     features (--dump-cnf, --proof, --trace, --stats,
-//                     --fallback) do not apply
+//                     --fallback, --cache-dir, --cell-jobs) do not apply
 //   --trace DIR       write observability artifacts into DIR (created if
 //                     missing): a Chrome-trace/Perfetto event stream
 //                     (trace.json) and a versioned run manifest
@@ -206,33 +205,9 @@ std::vector<core::ReportCell> toReportCells(
   return cells;
 }
 
-/// Flatten one wire response into the shared cell schema (sat_conflicts
-/// comes back out of the canonical counter block).
-core::ReportCell responseCell(const core::VerifyRequest& req,
-                              const core::VerifyResponse& resp) {
-  core::ReportCell c;
-  c.robSize = req.robSize;
-  c.issueWidth = req.issueWidth;
-  c.label = resp.cached ? "cached" : "";
-  c.verdict = core::verdictName(resp.verdict);
-  c.reason = resp.reason;
-  c.wallSeconds = resp.wallSeconds;
-  for (const auto& [name, value] : resp.counters)
-    if (name == "sat.conflicts") c.satConflicts = value;
-  c.peakArenaBytes = resp.peakArenaBytes;
-  c.memHighWaterKb = resp.rssHighWaterKb;
-  c.counters = resp.counters;
-  c.stageSeconds = {{"sim", resp.seconds.sim},
-                    {"rewrite", resp.seconds.rewrite},
-                    {"translate", resp.seconds.translate},
-                    {"sat", resp.seconds.sat},
-                    {"bdd", resp.seconds.bdd}};
-  return c;
-}
-
 void printCellLine(const core::GridCellResult& r) {
   const unsigned n = r.cell.robSize, k = r.cell.issueWidth;
-  switch (r.report.verdict()) {
+  switch (r.response.verdict) {
     case core::Verdict::Correct:
       std::printf("cell %ux%u: CORRECT (%.3f s)\n", n, k, r.wallSeconds);
       break;
@@ -242,8 +217,7 @@ void printCellLine(const core::GridCellResult& r) {
       break;
     case core::Verdict::RewriteMismatch:
       std::printf("cell %ux%u: NON-CONFORMING SLICE %u (%s)\n", n, k,
-                  r.report.outcome.failedSlice,
-                  r.report.outcome.reason.c_str());
+                  r.response.failedSlice, r.response.reason.c_str());
       break;
     case core::Verdict::Inconclusive:
       std::printf("cell %ux%u: INCONCLUSIVE (%.3f s)\n", n, k, r.wallSeconds);
@@ -262,8 +236,7 @@ void printCellLine(const core::GridCellResult& r) {
   if (r.fellBack)
     std::printf("cell %ux%u: retried with rewriting after PE-only %s\n", n, k,
                 verdictName(r.firstVerdict));
-  if (r.restored)
-    std::printf("cell %ux%u: restored from checkpoint\n", n, k);
+  if (r.restored) std::printf("cell %ux%u: restored from cache\n", n, k);
 }
 
 int aggregateExitCode(const std::vector<core::GridCellResult>& results) {
@@ -273,7 +246,7 @@ int aggregateExitCode(const std::vector<core::GridCellResult>& results) {
   };
   int worst = 0;
   for (const auto& r : results) {
-    const int code = core::verdictExitCode(r.report.verdict());
+    const int code = core::verdictExitCode(r.response.verdict);
     if (severity(code) > severity(worst)) worst = code;
   }
   return worst;
@@ -332,7 +305,11 @@ int runConnectMode(const char* endpoint,
                 core::verdictName(resp->verdict),
                 resp->cached ? " [cached]" : "", resp->wallSeconds);
     if (severity(resp->exitCode) > severity(worst)) worst = resp->exitCode;
-    cells.push_back(responseCell(r, *resp));
+    core::GridCellResult cell;
+    cell.cell = core::GridCell{r.robSize, r.issueWidth, r.bug};
+    cell.response = *resp;
+    cell.wallSeconds = resp->wallSeconds;
+    cells.push_back(core::makeReportCell(cell, resp->cached ? "cached" : ""));
   }
   if (!quiet)
     std::printf("connect: %zu cell(s) via %s in %.3f s\n", cells.size(),
@@ -347,8 +324,8 @@ int runConnectMode(const char* endpoint,
 int main(int argc, char** argv) {
   unsigned size = 8, width = 2, jobs = 1, cellJobs = 1;
   bool peOnly = false, quiet = false, coi = true;
-  bool noInprocess = false, resume = false;
-  const char* checkpointPath = nullptr;
+  bool noInprocess = false;
+  const char* cacheDir = nullptr;
   core::Engine engine = core::Engine::Sat;
   ResourceBudget budget;
   core::FallbackPolicy fallback = core::FallbackPolicy::None;
@@ -375,8 +352,7 @@ int main(int argc, char** argv) {
     } else if (a == "--cell-jobs") {
       cellJobs = std::atoi(next());
       if (cellJobs < 1) usage("--cell-jobs must be >= 1");
-    } else if (a == "--checkpoint") checkpointPath = next();
-    else if (a == "--resume") resume = true;
+    } else if (a == "--cache-dir") cacheDir = next();
     else if (a == "--grid") gridSpec = next();
     else if (a == "--strategy") {
       const std::string s = next();
@@ -423,11 +399,9 @@ int main(int argc, char** argv) {
   if (proofPath && engine != core::Engine::Sat)
     usage("--proof requires --engine sat (DRAT proofs come from the CDCL "
           "solver)");
-  if (checkpointPath && !gridSpec)
-    usage("--checkpoint applies to grid mode only (a single run has no "
+  if (cacheDir && !gridSpec)
+    usage("--cache-dir applies to grid mode only (a single run has no "
           "cells to record)");
-  if (resume && !checkpointPath)
-    usage("--resume needs --checkpoint FILE (the file to restore from)");
 
   // The one serializable request the whole flag set folds into; grid mode
   // stamps sizes × widths onto copies of it, --connect ships it as-is.
@@ -446,11 +420,11 @@ int main(int argc, char** argv) {
 
   try {
   if (connectEndpoint) {
-    if (dumpCnf || proofPath || traceDir || stats || checkpointPath ||
+    if (dumpCnf || proofPath || traceDir || stats || cacheDir ||
         cellJobs > 1 || fallback != core::FallbackPolicy::None)
       usage("--connect ships requests to a velev_serve daemon; "
             "--dump-cnf/--proof/--trace/--stats/--fallback/"
-            "--checkpoint/--cell-jobs are local-run features");
+            "--cache-dir/--cell-jobs are local-run features");
     std::vector<core::VerifyRequest> requests;
     if (gridSpec) {
       for (const core::GridCell& c : parseGridSpec(gridSpec)) {
@@ -475,8 +449,7 @@ int main(int argc, char** argv) {
     gopts.cellJobs = cellJobs;
     gopts.fallback = fallback;
     if (traceDir) gopts.traceDir = traceDir;
-    if (checkpointPath) gopts.checkpointPath = checkpointPath;
-    gopts.resume = resume;
+    if (cacheDir) gopts.cacheDir = cacheDir;
     if (stats)
       std::fprintf(stderr, "note: --stats is a single-run view; grid cells "
                            "record their statistics in the --trace "
@@ -516,30 +489,24 @@ int main(int argc, char** argv) {
   cx.setBudget(&gov);
   sat::PortfolioReport prep;
 
-  // Mirrors of the flag set, for the manifest's config block.
-  core::VerifyOptions vopts;
-  vopts.strategy = peOnly ? core::Strategy::PositiveEqualityOnly
-                          : core::Strategy::RewritingPlusPositiveEquality;
-  vopts.engine = engine;
-  vopts.budget = budget;
-  vopts.sim.coneOfInfluence = coi;
-  vopts.inprocess.enabled = !noInprocess;
-
-  // Collected for --json (single-cell report reuses the grid schema).
+  // The run's report, flattened at the end into the same VerifyResponse a
+  // grid cell or a served answer carries (--json and the manifest read it).
   Timer total;
-  core::GridCellResult cellOut;
-  cellOut.cell = core::GridCell{size, width, bug};
-  cellOut.report.engine = engine;
+  core::VerifyReport rep;
+  rep.engine = engine;
   auto finishJson = [&](core::Verdict v) {
-    cellOut.report.outcome.verdict = v;
+    rep.outcome.verdict = v;
     // max, not assign: under --engine both the BDD side already recorded
     // its sibling governor's peak.
-    cellOut.report.outcome.peakArenaBytes =
-        std::max(cellOut.report.outcome.peakArenaBytes, gov.peakArenaBytes());
-    cellOut.report.outcome.rssHighWaterKb = rssHighWaterKb();
-    cellOut.report.cxStats = core::scanContext(cx);
+    rep.outcome.peakArenaBytes =
+        std::max(rep.outcome.peakArenaBytes, gov.peakArenaBytes());
+    rep.outcome.rssHighWaterKb = rssHighWaterKb();
+    rep.cxStats = core::scanContext(cx);
+    core::GridCellResult cellOut;
+    cellOut.cell = core::GridCell{size, width, bug};
     cellOut.wallSeconds = total.seconds();
-    cellOut.memHighWaterKb = rssHighWaterKb();
+    cellOut.response =
+        core::VerifyResponse::fromReport(base, rep, cellOut.wallSeconds);
     if (jsonPath)
       writeJsonReport(jsonPath, "single", jobs, {core::makeReportCell(cellOut)},
                       total.seconds());
@@ -547,7 +514,7 @@ int main(int argc, char** argv) {
       // Publish the canonical counter block plus the per-seed SAT effort
       // on the collector: the manifest merges the collector's counters, and
       // --stats prints them under the stage tree.
-      for (const auto& [name, value] : core::reportCounters(cellOut.report))
+      for (const auto& [name, value] : cellOut.response.counters)
         collector.setCounter(name, value);
       for (std::size_t s = 0; s < prep.instanceStats.size(); ++s) {
         const std::string p = "sat.seed" + std::to_string(s) + ".";
@@ -569,7 +536,7 @@ int main(int argc, char** argv) {
         if (std::ofstream os(dir + "/trace.json"); os)
           collector.writeChromeTrace(os);
         if (std::ofstream os(dir + "/manifest.json"); os)
-          trace::writeManifest(os, core::cellManifestData(cellOut, vopts),
+          trace::writeManifest(os, core::cellManifestData(cellOut, base),
                                &collector);
         if (!quiet)
           std::printf("trace: wrote %s/trace.json and %s/manifest.json\n",
@@ -593,8 +560,8 @@ int main(int argc, char** argv) {
     return core::buildDiagram(cx, *impl, *spec, simOpts);
   }();
   const double simSec = t.seconds();
-  cellOut.report.simStats = d.implSimStats;
-  cellOut.report.outcome.seconds.sim = simSec;
+  rep.simStats = d.implSimStats;
+  rep.outcome.seconds.sim = simSec;
   if (!quiet)
     std::printf("simulated commutative diagram in %.3f s (%llu signal "
                 "evaluations)\n",
@@ -613,16 +580,16 @@ int main(int argc, char** argv) {
                                         d.implRegFile, d.specRegFile,
                                         cellPool.get());
     }();
-    cellOut.report.rewriteStats = rw.stats;
-    cellOut.report.outcome.seconds.rewrite = t.seconds();
+    rep.rewriteStats = rw.stats;
+    rep.outcome.seconds.rewrite = t.seconds();
     if (!rw.ok) {
       std::printf("verdict: NON-CONFORMING SLICE %u (%s) after %.3f s\n",
                   rw.failedSlice, rw.message.c_str(), t.seconds());
-      cellOut.report.outcome.failedSlice = rw.failedSlice;
-      cellOut.report.outcome.reason = rw.message;
+      rep.outcome.failedSlice = rw.failedSlice;
+      rep.outcome.reason = rw.message;
       return finishJson(core::Verdict::RewriteMismatch);
     }
-    cellOut.report.updatesRemoved = rw.updatesRemoved;
+    rep.updatesRemoved = rw.updatesRemoved;
     if (!quiet)
       std::printf("rewriting rules removed %u updates in %.3f s\n",
                   rw.updatesRemoved, t.seconds());
@@ -644,8 +611,8 @@ int main(int argc, char** argv) {
     TRACE_SPAN("verify.translate");
     return evc::translate(cx, correctness, topts);
   }();
-  cellOut.report.evcStats = tr.stats;
-  cellOut.report.outcome.seconds.translate = t.seconds();
+  rep.evcStats = tr.stats;
+  rep.outcome.seconds.translate = t.seconds();
   if (!quiet) {
     if (topts.emitCnf)
       std::printf("translated to CNF in %.3f s: %u vars, %zu clauses, "
@@ -687,18 +654,18 @@ int main(int argc, char** argv) {
     popts.conflictBudget = budget.satConflicts;
     popts.wantProof = proofPath != nullptr;
     popts.budget = &gov;
-    popts.inprocess = vopts.inprocess;
+    popts.inprocess = base.options().inprocess;
     t.reset();
     const sat::Result r = [&] {
       TRACE_SPAN("verify.sat");
       return sat::solvePortfolio(tr.cnf, popts, &prep);
     }();
     const double satSec = t.seconds();
-    cellOut.report.satStats = prep.winnerStats;
-    cellOut.report.inprocessed = popts.inprocess.enabled;
-    cellOut.report.inprocessStats = prep.inprocessStats;
-    cellOut.report.outcome.satResult = r;
-    cellOut.report.outcome.seconds.sat = satSec;
+    rep.satStats = prep.winnerStats;
+    rep.inprocessed = popts.inprocess.enabled;
+    rep.inprocessStats = prep.inprocessStats;
+    rep.outcome.satResult = r;
+    rep.outcome.seconds.sat = satSec;
     if (!quiet && jobs > 1)
       std::printf("portfolio: %u instances, instance %d (seed %llu) won\n",
                   jobs, prep.winner,
@@ -740,7 +707,7 @@ int main(int argc, char** argv) {
     }
     satSide = s;
     if (engine == core::Engine::Sat) {
-      cellOut.report.outcome.reason = s.reason;
+      rep.outcome.reason = s.reason;
       return finishJson(s.v);
     }
   }
@@ -760,10 +727,10 @@ int main(int argc, char** argv) {
                                 tr.transitivityClauses(), copts);
     }();
     const double bddSec = t.seconds();
-    cellOut.report.bddStats = res.stats;
-    cellOut.report.outcome.seconds.bdd = bddSec;
-    cellOut.report.outcome.peakArenaBytes = std::max(
-        cellOut.report.outcome.peakArenaBytes, bddGov.peakArenaBytes());
+    rep.bddStats = res.stats;
+    rep.outcome.seconds.bdd = bddSec;
+    rep.outcome.peakArenaBytes = std::max(
+        rep.outcome.peakArenaBytes, bddGov.peakArenaBytes());
     if (!quiet)
       std::printf("bdd: %llu peak nodes, %llu reorderings, %llu/%llu cache "
                   "hits\n",
@@ -811,7 +778,7 @@ int main(int argc, char** argv) {
     }
     bddSide = s;
     if (engine == core::Engine::Bdd) {
-      cellOut.report.outcome.reason = s.reason;
+      rep.outcome.reason = s.reason;
       return finishJson(s.v);
     }
   }
@@ -828,13 +795,13 @@ int main(int argc, char** argv) {
                              : bddSide->conclusive() ? *bddSide
                                                      : *satSide;
   std::printf("verdict: %s (cross-checked)\n", core::verdictName(chosen.v));
-  cellOut.report.outcome.reason = chosen.reason;
+  rep.outcome.reason = chosen.reason;
   return finishJson(chosen.v);
   } catch (const BudgetExceeded& e) {
     const bool mem = e.kind() == BudgetKind::Memory;
     std::printf("verdict: %s (%s after %.3f s)\n",
                 mem ? "OUT OF MEMORY" : "TIMEOUT", e.what(), total.seconds());
-    cellOut.report.outcome.reason = e.what();
+    rep.outcome.reason = e.what();
     return finishJson(mem ? core::Verdict::MemOut : core::Verdict::Timeout);
   }
   } catch (const InternalError& e) {
