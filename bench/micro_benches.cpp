@@ -59,9 +59,10 @@ BENCHMARK(BM_SymbolicSimulation)->Arg(8)->Arg(32)->Arg(64);
 
 void BM_RewriteEngine(benchmark::State& state) {
   const unsigned n = static_cast<unsigned>(state.range(0));
+  const unsigned k = static_cast<unsigned>(state.range(1));
   eufm::Context cx;
   const models::Isa isa = models::Isa::declare(cx);
-  auto impl = models::buildOoO(cx, isa, {n, 4});
+  auto impl = models::buildOoO(cx, isa, {n, k});
   auto spec = models::buildSpec(cx, isa);
   const core::Diagram d = core::buildDiagram(cx, *impl, *spec);
   for (auto _ : state) {
@@ -70,7 +71,13 @@ void BM_RewriteEngine(benchmark::State& state) {
     benchmark::DoNotOptimize(rw.ok);
   }
 }
-BENCHMARK(BM_RewriteEngine)->Arg(16)->Arg(64)->Arg(128);
+// N x k; 400 x 48 is the rob_scale benchmark cell.
+BENCHMARK(BM_RewriteEngine)
+    ->Args({16, 4})
+    ->Args({64, 4})
+    ->Args({128, 4})
+    ->Args({400, 48})
+    ->Unit(benchmark::kMillisecond);
 
 /// The correctness formula of the rewriting strategy: the Register File
 /// equality after the rewriting rules removed the ROB updates.

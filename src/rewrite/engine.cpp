@@ -38,6 +38,7 @@ struct SliceMismatch {
 struct SliceTally {
   unsigned merges = 0;
   unsigned forwarding = 0;
+  std::uint64_t rebuilt = 0;  // nodes the case split rebuilt
 };
 
 /// Result of checking one slice inside its private ShadowContext.
@@ -74,9 +75,14 @@ class Engine {
         checkMovability();
       }
       {
+        TRACE_SPAN("rewrite.support");
+        support_ = caseSplitSupport(cx_, init_);
+      }
+      {
         TRACE_SPAN("rewrite.slices");
         runSlices();
       }
+      support_ = {};  // scratch of the slice loop
       {
         TRACE_SPAN("rewrite.rebuild");
         rebuild(res, specRegFile.size());
@@ -210,11 +216,12 @@ class Engine {
   // sequential semantics.
   void runSlices() {
     BudgetGovernor* gov = cx_.budgetGovernor();
+    const int slot = gov != nullptr ? gov->registerSource() : -1;
+    checkSpecLevels(gov, slot);
     std::vector<SliceOutcome> out(n_);
     const unsigned jobs =
         pool_ == nullptr ? 1u : std::min<unsigned>(pool_->size(), n_);
     if (jobs <= 1) {
-      const int slot = gov != nullptr ? gov->registerSource() : -1;
       for (unsigned i = 0; i < n_; ++i) {
         checkSliceOutcome(i, gov, slot, out[i]);
         if (!out[i].ok) break;  // fail fast; merge stops here anyway
@@ -230,13 +237,13 @@ class Engine {
       std::mutex errMutex;
       std::exception_ptr firstError;
       auto worker = [&] {
-        const int slot = gov != nullptr ? gov->registerSource() : -1;
+        const int own = gov != nullptr ? gov->registerSource() : -1;
         try {
           for (;;) {
             const unsigned i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= n_) break;
             if (i > minFail.load(std::memory_order_relaxed)) continue;
-            checkSliceOutcome(i, gov, slot, out[i]);
+            checkSliceOutcome(i, gov, own, out[i]);
             if (!out[i].ok) {
               unsigned cur = minFail.load(std::memory_order_relaxed);
               while (i < cur &&
@@ -258,16 +265,42 @@ class Engine {
       for (auto& f : futures) f.get();
       if (firstError) std::rethrow_exception(firstError);
     }
+    // Work counter, summed in slice order through the failing slice, so
+    // the schedule cannot change it.
+    std::uint64_t rebuilt = 0;
     for (unsigned i = 0; i < n_; ++i) {
       const SliceOutcome& o = out[i];
       if (!o.done) break;  // only reachable past a recorded failure
-      if (!o.ok) throw SliceMismatch{o.slice, o.message};
+      rebuilt += o.tally.rebuilt;
+      if (!o.ok) {
+        trace::counterAdd("rewrite.subst.visited", rebuilt);
+        throw SliceMismatch{o.slice, o.message};
+      }
       stats_.sliceNodesTotal += o.nodes;
       stats_.sliceNodesMax = std::max(stats_.sliceNodesMax, o.nodes);
       stats_.mergesApplied += o.tally.merges;
       stats_.forwardingMatches += o.tally.forwarding;
       ++stats_.slicesChecked;
     }
+    trace::counterAdd("rewrite.subst.visited", rebuilt);
+  }
+
+  /// Rule 2.1's check on the specification write of level j —
+  /// subst(specUpd(j).data, ValidResult_j := true) == Result_j — depends on
+  /// j alone, so it is made once per level, in one discarded shadow, before
+  /// any slice runs; matchForwarding reads the stored bit. The substitution
+  /// is a pure function of the frozen base, so the bit is the one each
+  /// slice would compute, and a well-formed level interns no scratch.
+  void checkSpecLevels(BudgetGovernor* gov, int slot) {
+    eufm::ShadowContext scx(cx_, gov, slot);
+    specCollapses_.assign(n_, false);
+    for (unsigned j = 0; j + 1 < n_; ++j) {
+      BoolAssumptions vr1{{init_.validResult[j], true}};
+      specCollapses_[j] =
+          substituteShallow(scx, specUpd(j).data, vr1,
+                            SupportKeep{support_, j}) == init_.result[j];
+    }
+    if (gov != nullptr) gov->checkpoint(slot, 0);
   }
 
   /// One slice, one shadow. BudgetExceeded propagates (budget exhaustion is
@@ -304,14 +337,19 @@ class Engine {
     if (i < k_) ++tally.merges;
     const Expr specData = specUpd(i).data;
 
+    // Every base node outside the slice's support is kept as it is.
+    const SupportKeep keep{support_, i};
+
     // Case 1: ValidResult_i = true — both sides must collapse to Result_i.
     {
       BoolAssumptions vr1{{init_.valid[i], true}, {init_.validResult[i], true}};
-      const Expr di = substituteShallow(cx, implData, vr1);
+      const Expr di =
+          substituteShallow(cx, implData, vr1, keep, &tally.rebuilt);
       if (di != init_.result[i])
         fail(i, "implementation data does not collapse to Result_i when "
                 "ValidResult_i holds");
-      const Expr ds = substituteShallow(cx, specData, vr1);
+      const Expr ds =
+          substituteShallow(cx, specData, vr1, keep, &tally.rebuilt);
       if (ds != init_.result[i])
         fail(i, "specification data does not collapse to Result_i when "
                 "ValidResult_i holds");
@@ -319,8 +357,8 @@ class Engine {
 
     // Case 2: ValidResult_i = false.
     BoolAssumptions vr0{{init_.valid[i], true}, {init_.validResult[i], false}};
-    const Expr di = substituteShallow(cx, implData, vr0);
-    const Expr ds = substituteShallow(cx, specData, vr0);
+    const Expr di = substituteShallow(cx, implData, vr0, keep, &tally.rebuilt);
+    const Expr ds = substituteShallow(cx, specData, vr0, keep, &tally.rebuilt);
 
     const Expr pPrefix = flushUpd(i).prev;               // P_i
     const Expr qPrefix = specUpd(i).prev;                // Q_i
@@ -422,11 +460,8 @@ class Engine {
         return false;
       }
       // The specification write at this level must provide Result_level
-      // when its result was available.
-      BoolAssumptions vr1{{init_.validResult[level], true}};
-      if (substituteShallow(cx, specUpd(level).data, vr1) !=
-          init_.result[level])
-        return false;
+      // when its result was available (checked once, checkSpecLevels).
+      if (!specCollapses_[level]) return false;
     }
     return fwd == cx.mkRead(init_.regFile, src) &&
            (ok == kNoExpr || ok == cx.mkTrue());
@@ -472,10 +507,36 @@ class Engine {
   UpdateChain spec0_;
   std::vector<Update> specSteps_;
   std::vector<Expr> retireCond_;  // retire_i, split out of the contexts
+  std::vector<std::uint32_t> support_;  // caseSplitSupport, slice loop only
+  std::vector<bool> specCollapses_;     // per level, checkSpecLevels
   RewriteStats stats_;
 };
 
 }  // namespace
+
+std::vector<std::uint32_t> caseSplitSupport(const Context& cx,
+                                            const models::RobInitState& init) {
+  std::vector<std::uint32_t> support(cx.numNodes(), 0);
+  for (std::size_t s = 0; s < init.valid.size(); ++s) {
+    const auto entry = static_cast<std::uint32_t>(s + 1);
+    support[init.valid[s]] = std::max(support[init.valid[s]], entry);
+    support[init.validResult[s]] =
+        std::max(support[init.validResult[s]], entry);
+  }
+  // Arguments precede their node in id order, so one forward pass sees
+  // every argument's final entry. Variables have no arguments and keep the
+  // entry set above.
+  for (Expr e = 0; e < support.size(); ++e) {
+    const Kind k = cx.kind(e);
+    const auto args = cx.args(e);
+    const std::size_t first = k == Kind::Read || k == Kind::Write ? 1 : 0;
+    std::uint32_t top = support[e];
+    for (std::size_t a = first; a < args.size(); ++a)
+      top = std::max(top, support[args[a]]);
+    support[e] = top;
+  }
+  return support;
+}
 
 RewriteResult rewriteRobUpdates(Context& cx, const models::Isa& isa,
                                 const models::RobInitState& init,

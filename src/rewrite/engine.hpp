@@ -84,6 +84,27 @@ struct RewriteResult {
   unsigned updatesRemoved = 0;
 };
 
+/// The support pass of the ValidResult case split: one pass over every node
+/// of `cx` in id order. Entry e is 1 + the highest slice index whose Valid
+/// or ValidResult variable occurs in e's cone as substituteShallow walks it
+/// (read/write memory arguments excluded), 0 when none does. Four bytes per
+/// node, rewriteRobUpdates keeps it for the slice loop only.
+std::vector<std::uint32_t> caseSplitSupport(const eufm::Context& cx,
+                                            const models::RobInitState& init);
+
+/// substituteShallow's keep hook for the case split of slice `slice`
+/// (0-based; it assumes Valid_slice and/or ValidResult_slice): keeps every
+/// node whose support holds no variable of this slice or a later one.
+/// Shadow-local ids (at or past the support's end) have no entry and are
+/// never kept.
+struct SupportKeep {
+  const std::vector<std::uint32_t>& support;
+  unsigned slice;
+  bool operator()(eufm::Expr e) const {
+    return e < support.size() && support[e] <= slice;
+  }
+};
+
 /// Apply the rewriting rules. `implRegFile` is the implementation-side
 /// Register File after one regular cycle plus flushing; `specRegFile[m]` is
 /// the specification-side state after flushing the initial state and running

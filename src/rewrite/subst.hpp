@@ -8,7 +8,11 @@
 // prefix Register File states referenced by completion-function reads are
 // handled by the prefix-correspondence argument, not by substitution — and
 // leaving them untouched keeps the per-slice cost proportional to the slice,
-// not to the whole formula.
+// not to the whole formula. A caller-supplied `keep` hook names the nodes
+// whose cone holds no assumed variable; they are returned as they are,
+// unvisited. That changes no result: rebuilding such a node would re-intern
+// every node of its cone to itself (hash-consing returns the same id, and
+// the smart constructors already normalised the node when it was built).
 //
 // `substituteMem` replaces one specific memory-state subterm (a proven-equal
 // prefix) by a fresh variable, again without descending into deeper read
@@ -19,6 +23,7 @@
 // slice), while the rebuild phase runs substituteMem on the real Context.
 #pragma once
 
+#include <cstdint>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -36,9 +41,11 @@ namespace detail {
 // traversed; they are transformed atomically by `memArg` (identity by
 // default), which keeps the cost proportional to the data expression, not
 // to the prefix memory states it reads from.
+// `rebuilt`, when non-null, is incremented once per node rebuilt through
+// a smart constructor.
 template <typename Cx, typename LeafFn, typename MemFn>
 eufm::Expr rebuildFiltered(Cx& cx, eufm::Expr root, LeafFn&& leaf,
-                           MemFn&& memArg) {
+                           MemFn&& memArg, std::uint64_t* rebuilt = nullptr) {
   using eufm::Expr;
   using eufm::Kind;
   std::unordered_map<Expr, Expr> map;
@@ -62,6 +69,7 @@ eufm::Expr rebuildFiltered(Cx& cx, eufm::Expr root, LeafFn&& leaf,
       }
       continue;
     }
+    if (rebuilt != nullptr) ++*rebuilt;
     auto m = [&](unsigned i) { return map.at(cx.arg(e, i)); };
     Expr r = eufm::kNoExpr;
     switch (cx.kind(e)) {
@@ -109,15 +117,20 @@ eufm::Expr keepLeaves(const Cx& cx, eufm::Expr e) {
 }  // namespace detail
 
 /// Rebuild `e` under `assume`, folding constants; read/write memory
-/// arguments are kept verbatim.
-template <typename Cx>
+/// arguments are kept verbatim. `keep(e)` returning true promises that e's
+/// cone (as this walk sees it) holds no variable of `assume`: e is then
+/// returned as it is. A hook that keeps nothing gives the full rebuild.
+/// `rebuilt`, when non-null, counts the nodes rebuilt.
+template <typename Cx, typename KeepFn>
 eufm::Expr substituteShallow(Cx& cx, eufm::Expr root,
-                             const BoolAssumptions& assume) {
+                             const BoolAssumptions& assume, KeepFn&& keep,
+                             std::uint64_t* rebuilt = nullptr) {
   using eufm::Expr;
   using eufm::Kind;
   return detail::rebuildFiltered(
       cx, root,
       [&](Expr e) -> Expr {
+        if (keep(e)) return e;
         if (cx.kind(e) == Kind::BoolVar) {
           auto it = assume.find(e);
           if (it != assume.end())
@@ -126,7 +139,7 @@ eufm::Expr substituteShallow(Cx& cx, eufm::Expr root,
         }
         return detail::keepLeaves(cx, e);
       },
-      [](Expr mem) { return mem; });
+      [](Expr mem) { return mem; }, rebuilt);
 }
 
 /// Rebuild `e` with every occurrence of memory state `from` replaced by

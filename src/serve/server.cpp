@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <sstream>
@@ -449,12 +450,31 @@ void VerifyServer::acceptLoop() {
     if (unixFd_ >= 0) fds[n++] = pollfd{unixFd_, POLLIN, 0};
     if (tcpFd_ >= 0) fds[n++] = pollfd{tcpFd_, POLLIN, 0};
     if (n == 0) return;
-    const int r = ::poll(fds, n, 200);  // tick so the stop flag is seen
+    // The tick sees the stop flag and reaps finished connections.
+    const int r = ::poll(fds, n, 200);
+    reapConnections();
     if (r <= 0) continue;
     for (nfds_t i = 0; i < n; ++i) {
       if ((fds[i].revents & POLLIN) == 0) continue;
       const int cfd = ::accept(fds[i].fd, nullptr, nullptr);
-      if (cfd < 0) continue;
+      if (cfd < 0) {
+        // Out of descriptors: the connection stays queued and poll reports
+        // it again at once, so wait a tick instead of spinning.
+        if (errno == EMFILE || errno == ENFILE)
+          std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        continue;
+      }
+      if (reapConnections() >= kMaxConnections) {
+        collector_.addCounter("serve.connections.rejected", 1);
+        const std::string line =
+            wire(core::VerifyResponse::makeError(
+                0, "too many connections (limit " +
+                       std::to_string(kMaxConnections) + ")")) +
+            "\n";
+        (void)::send(cfd, line.data(), line.size(), MSG_NOSIGNAL);
+        ::close(cfd);
+        continue;
+      }
       collector_.addCounter("serve.connections", 1);
       auto conn = std::make_unique<Connection>();
       conn->fd = cfd;
@@ -464,6 +484,19 @@ void VerifyServer::acceptLoop() {
       conns_.push_back(std::move(conn));
     }
   }
+}
+
+std::size_t VerifyServer::reapConnections() {
+  std::lock_guard<std::mutex> lk(connMutex_);
+  std::erase_if(conns_, [](const std::unique_ptr<Connection>& conn) {
+    if (!conn->readerDone.load(std::memory_order_acquire) ||
+        conn->owed.load(std::memory_order_acquire) != 0)
+      return false;
+    conn->reader.join();  // it has already returned
+    ::close(conn->fd);
+    return true;
+  });
+  return conns_.size();
 }
 
 void VerifyServer::readerLoop(Connection* conn) {
@@ -482,18 +515,25 @@ void VerifyServer::readerLoop(Connection* conn) {
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
       // Requests answer asynchronously (pipelining + cross-connection
-      // coalescing); control ops answer inline.
+      // coalescing); control ops answer inline. Either way the line owes
+      // one answer until it is written, and the connection is not reaped
+      // before (the answer's last touch of `conn` is the decrement).
+      conn->owed.fetch_add(1, std::memory_order_relaxed);
       const std::string direct = dispatchLine(
           line, [this, conn](const core::VerifyResponse& resp) {
             writeLine(conn, wire(resp));
+            conn->owed.fetch_sub(1, std::memory_order_release);
           });
-      if (!direct.empty()) writeLine(conn, direct);
+      if (!direct.empty()) {
+        writeLine(conn, direct);
+        conn->owed.fetch_sub(1, std::memory_order_release);
+      }
     }
     pending.erase(0, start);
     if (pending.size() > kMaxLineBytes) {
       // A line past the cap is refused outright: one error, then the
-      // connection is shut down (its fd stays valid until stop(), so late
-      // answers to earlier pipelined lines fail cleanly).
+      // connection is shut down (its fd stays valid until no answer is
+      // owed, so late answers to earlier pipelined lines fail cleanly).
       collector_.addCounter("serve.requests.bad", 1);
       writeLine(conn, wire(core::VerifyResponse::makeError(
                           0, "request line longer than " +
@@ -502,6 +542,7 @@ void VerifyServer::readerLoop(Connection* conn) {
       break;
     }
   }
+  conn->readerDone.store(true, std::memory_order_release);
 }
 
 void VerifyServer::writeLine(Connection* conn, const std::string& line) {

@@ -38,6 +38,10 @@
 // HOSTILE INPUT: a request line may be at most 1 MiB long. A connection
 // whose pending line grows past that gets one error response and is shut
 // down, so a client that never sends '\n' cannot grow the reader's buffer.
+// At most kMaxConnections connections are open at once; the one past the
+// cap gets one error line and is closed. A connection's fd is closed and
+// its reader joined as soon as the reader has exited and no job still owes
+// it an answer, so a late answer never lands on a reused fd number.
 //
 // ADMISSION: beyond the static budget clamps, maxQueueDepth /
 // maxPendingSeconds reject NEW work (cache misses about to become jobs)
@@ -112,6 +116,9 @@ struct ServerOptions {
 
 class VerifyServer {
  public:
+  /// Connections open at once (each holds an fd and a reader thread).
+  static constexpr std::size_t kMaxConnections = 64;
+
   explicit VerifyServer(ServerOptions opts);
   ~VerifyServer();  // stop()s
 
@@ -160,6 +167,10 @@ class VerifyServer {
     std::mutex writeMutex;
     std::thread reader;
     std::atomic<bool> open{true};
+    /// Dispatched lines whose answer is not written yet.
+    std::atomic<std::size_t> owed{0};
+    /// The reader's last act; with owed == 0 the connection may be reaped.
+    std::atomic<bool> readerDone{false};
   };
 
   /// Async core: clamp, key, claim, maybe schedule. `done` fires exactly
@@ -191,6 +202,9 @@ class VerifyServer {
   std::string controlResponse(const std::string& op);
 
   void acceptLoop();
+  /// Close and drop every connection whose reader has exited and that is
+  /// owed no answer; returns how many stay open.
+  std::size_t reapConnections();
   void readerLoop(Connection* conn);
   void writeLine(Connection* conn, const std::string& line);
 

@@ -21,6 +21,7 @@
 #include "prop/cnf.hpp"
 #include "rewrite/engine.hpp"
 #include "support/thread_pool.hpp"
+#include "support/trace.hpp"
 
 namespace velev {
 namespace {
@@ -87,6 +88,30 @@ TEST(Parallel, RewriteReportsLowestFailingSlice) {
     EXPECT_EQ(parallel.failedSlice, sequential.failedSlice)
         << "workers=" << workers;
     expectSameResult(sequential, parallel, "bug run");
+  }
+}
+
+TEST(Parallel, RewriteWorkCounterIdenticalForAnyWorkerCount) {
+  // rewrite.subst.visited is summed in slice order through the failing
+  // slice, so neither the schedule nor slices checked past a failure can
+  // move it.
+  auto visited = [](unsigned n, unsigned k, ThreadPool* pool,
+                    models::BugSpec bug) {
+    trace::Collector collector;
+    trace::Use tracing(&collector);
+    runRewrite(n, k, pool, bug);
+    return collector.counter("rewrite.subst.visited");
+  };
+  const models::BugSpec none{};
+  const models::BugSpec bug{models::BugKind::ForwardingWrongOperand, 5};
+  const std::uint64_t correct = visited(12, 3, nullptr, none);
+  const std::uint64_t failing = visited(8, 2, nullptr, bug);
+  EXPECT_GT(correct, 0u);
+  EXPECT_GT(failing, 0u);
+  for (unsigned workers : {2u, 4u}) {
+    ThreadPool pool(workers);
+    EXPECT_EQ(visited(12, 3, &pool, none), correct) << "workers=" << workers;
+    EXPECT_EQ(visited(8, 2, &pool, bug), failing) << "workers=" << workers;
   }
 }
 

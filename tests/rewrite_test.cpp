@@ -7,6 +7,7 @@
 
 #include "core/diagram.hpp"
 #include "eufm/eval.hpp"
+#include "eufm/shadow.hpp"
 #include "models/spec.hpp"
 #include "rewrite/contexts.hpp"
 #include "rewrite/engine.hpp"
@@ -19,6 +20,10 @@ namespace {
 
 using eufm::Context;
 using eufm::Expr;
+
+/// The keep hook that keeps nothing: substituteShallow's full rebuild, the
+/// reference the support-pruned substitution is compared against.
+constexpr auto keepNothing = [](Expr) { return false; };
 
 class ChainTest : public ::testing::Test {
  protected:
@@ -107,9 +112,56 @@ TEST_F(ChainTest, SubstituteShallowFoldsGuards) {
   const Expr x = cx.termVar("x"), y = cx.termVar("y");
   const Expr e = cx.mkIteT(cx.mkAnd(v, w), x, y);
   BoolAssumptions assume{{v, false}};
-  EXPECT_EQ(substituteShallow(cx, e, assume), y);
+  EXPECT_EQ(substituteShallow(cx, e, assume, keepNothing), y);
   BoolAssumptions assume2{{v, true}};
-  EXPECT_EQ(substituteShallow(cx, e, assume2), cx.mkIteT(w, x, y));
+  EXPECT_EQ(substituteShallow(cx, e, assume2, keepNothing),
+            cx.mkIteT(w, x, y));
+}
+
+TEST_F(ChainTest, SubstituteShallowReturnsKeptNodesUnvisited) {
+  const Expr v = cx.boolVar("v"), w = cx.boolVar("w");
+  const Expr x = cx.termVar("x"), y = cx.termVar("y");
+  const Expr inner = cx.mkIteT(w, x, y);
+  const Expr e = cx.mkIteT(v, inner, y);
+  BoolAssumptions assume{{v, true}};
+  std::uint64_t full = 0, pruned = 0;
+  EXPECT_EQ(substituteShallow(cx, e, assume, keepNothing, &full), inner);
+  EXPECT_EQ(substituteShallow(cx, e, assume,
+                              [&](Expr n) { return n == inner; }, &pruned),
+            inner);
+  EXPECT_EQ(full, 2u);    // e and inner
+  EXPECT_EQ(pruned, 1u);  // e alone
+}
+
+TEST_F(ChainTest, CaseSplitSupportRecordsHighestSliceInCone) {
+  models::RobInitState init;
+  for (int s = 0; s < 3; ++s) {
+    init.valid.push_back(cx.boolVar("Valid" + std::to_string(s)));
+    init.validResult.push_back(cx.boolVar("VR" + std::to_string(s)));
+  }
+  const Expr x = cx.termVar("x"), m = cx.termVar("M");
+  const Expr v0 = cx.mkIteT(init.valid[0], x, cx.termVar("y"));
+  const Expr vr2 = cx.mkIteT(init.validResult[2], v0, x);
+  const Expr both = cx.mkAnd(init.valid[1], init.validResult[0]);
+  // A variable only under a memory argument is outside the walked cone.
+  const Expr mem = cx.mkIteT(init.valid[2], cx.mkWrite(m, x, x), m);
+  const Expr rd = cx.mkRead(mem, v0);
+  const auto support = caseSplitSupport(cx, init);
+  ASSERT_EQ(support.size(), cx.numNodes());
+  EXPECT_EQ(support[x], 0u);
+  EXPECT_EQ(support[init.valid[1]], 2u);
+  EXPECT_EQ(support[init.validResult[2]], 3u);
+  EXPECT_EQ(support[v0], 1u);
+  EXPECT_EQ(support[vr2], 3u);
+  EXPECT_EQ(support[both], 2u);
+  EXPECT_EQ(support[mem], 3u);
+  EXPECT_EQ(support[rd], 1u);
+  // Slice 1 keeps what holds slice-0 variables only; shadow ids are new.
+  const SupportKeep keep1{support, 1};
+  EXPECT_TRUE(keep1(v0));
+  EXPECT_TRUE(keep1(rd));
+  EXPECT_FALSE(keep1(both));
+  EXPECT_FALSE(keep1(static_cast<Expr>(support.size())));
 }
 
 TEST_F(ChainTest, SubstituteShallowKeepsReadBases) {
@@ -121,7 +173,7 @@ TEST_F(ChainTest, SubstituteShallowKeepsReadBases) {
   const Expr mem = cx.mkIteT(v, cx.mkWrite(m, a, d), m);
   const Expr e = cx.mkRead(mem, cx.mkIteT(v, a, d));
   BoolAssumptions assume{{v, true}};
-  const Expr r = substituteShallow(cx, e, assume);
+  const Expr r = substituteShallow(cx, e, assume, keepNothing);
   EXPECT_EQ(r, cx.mkRead(mem, a));  // address folded, base untouched
 }
 
@@ -142,6 +194,46 @@ struct GridParam {
   unsigned n, k;
 };
 
+/// Every RewriteStats field of a run, in declaration order.
+struct PinnedStats {
+  unsigned slices, contexts, moves, merges, forwarding;
+  std::uint64_t nodesTotal, nodesMax;
+};
+
+void expectPinned(const RewriteStats& got, const PinnedStats& want) {
+  EXPECT_EQ(got.slicesChecked, want.slices);
+  EXPECT_EQ(got.contextChecks, want.contexts);
+  EXPECT_EQ(got.movesApplied, want.moves);
+  EXPECT_EQ(got.mergesApplied, want.merges);
+  EXPECT_EQ(got.forwardingMatches, want.forwarding);
+  EXPECT_EQ(got.sliceNodesTotal, want.nodesTotal);
+  EXPECT_EQ(got.sliceNodesMax, want.nodesMax);
+  EXPECT_EQ(got.rulesFired(), std::uint64_t{want.slices} + want.contexts +
+                                  want.moves + want.merges + want.forwarding);
+}
+
+/// The engine's stats on each correct EngineGrid cell, as the full-rebuild
+/// case split (no support pruning, no per-level memo) produced them.
+PinnedStats gridPin(unsigned n, unsigned k) {
+  struct Row {
+    unsigned n, k;
+    PinnedStats stats;
+  };
+  static const Row rows[] = {
+      {1, 1, {1, 2, 0, 1, 2, 3, 3}},      {2, 1, {2, 3, 0, 1, 4, 6, 3}},
+      {2, 2, {2, 4, 1, 2, 4, 7, 4}},      {3, 1, {3, 4, 0, 1, 6, 11, 5}},
+      {3, 2, {3, 5, 1, 2, 6, 12, 5}},     {3, 3, {3, 6, 3, 3, 6, 13, 6}},
+      {4, 2, {4, 6, 1, 2, 8, 17, 5}},     {4, 4, {4, 8, 6, 4, 8, 19, 6}},
+      {5, 3, {5, 8, 3, 3, 10, 23, 6}},    {6, 2, {6, 8, 1, 2, 12, 27, 5}},
+      {8, 4, {8, 12, 6, 4, 16, 39, 6}},   {8, 8, {8, 16, 28, 8, 16, 43, 6}},
+      {12, 2, {12, 14, 1, 2, 24, 57, 5}}, {16, 8, {16, 24, 28, 8, 32, 83, 6}},
+  };
+  for (const Row& r : rows)
+    if (r.n == n && r.k == k) return r.stats;
+  ADD_FAILURE() << "no pinned stats for " << n << "x" << k;
+  return {};
+}
+
 class EngineGrid : public ::testing::TestWithParam<GridParam> {};
 
 TEST_P(EngineGrid, CorrectDesignRewrites) {
@@ -156,6 +248,9 @@ TEST_P(EngineGrid, CorrectDesignRewrites) {
       cx, isa, impl->init, impl->config, d.implRegFile, d.specRegFile);
   ASSERT_TRUE(rw.ok) << "slice " << rw.failedSlice << ": " << rw.message;
   EXPECT_EQ(rw.updatesRemoved, k + 2 * n);
+  EXPECT_EQ(rw.failedSlice, 0u);
+  EXPECT_EQ(rw.message, "");
+  expectPinned(rw.stats, gridPin(n, k));
 
   // The rewritten implementation side carries exactly the k new-instruction
   // updates over the fresh equal state; m-th spec side carries m updates.
@@ -259,6 +354,65 @@ struct BugParam {
 
 class EngineBugs : public ::testing::TestWithParam<BugParam> {};
 
+/// The engine's failing slice, message and stats on each EngineBugs cell,
+/// as the full-rebuild case split produced them.
+struct BugPin {
+  unsigned failedSlice;
+  const char* message;
+  PinnedStats stats;
+};
+
+BugPin bugPin(const BugParam& p) {
+  using models::BugKind;
+  static const char* const kOperand =
+      "forwarded operand 1 cannot be matched against the "
+      "specification-side read (rule 2.1)";
+  static const char* const kNotAlu =
+      "regular-cycle execution result is not an ALU application on "
+      "Opcode_i";
+  struct Row {
+    BugParam param;
+    BugPin pin;
+  };
+  static const Row rows[] = {
+      {{BugKind::ForwardingWrongOperand, 8, 2, 5},
+       {5, kOperand, {4, 10, 1, 2, 8, 17, 5}}},
+      {{BugKind::ForwardingWrongOperand, 16, 4, 12},
+       {12, kOperand, {11, 20, 6, 4, 22, 54, 6}}},
+      {{BugKind::ForwardingWrongOperand, 4, 2, 2},
+       {2, kOperand, {1, 6, 1, 1, 2, 3, 3}}},
+      {{BugKind::ForwardingStaleResult, 8, 2, 6},
+       {6, kOperand, {5, 10, 1, 2, 10, 22, 5}}},
+      {{BugKind::ForwardingStaleResult, 6, 3, 4},
+       {4, kOperand, {3, 9, 3, 3, 6, 13, 6}}},
+      {{BugKind::AluWrongOpcode, 8, 4, 3},
+       {3, kNotAlu, {2, 12, 6, 2, 4, 7, 4}}},
+      {{BugKind::AluWrongOpcode, 5, 1, 5},
+       {5, kNotAlu, {4, 6, 0, 1, 8, 16, 5}}},
+      {{BugKind::RetireIgnoresValidResult, 6, 3, 2},
+       {2,
+        "completion branch is not the expected ALU application over reads "
+        "from the implementation prefix state (rule 2.2)",
+        {1, 9, 3, 1, 2, 3, 3}}},
+      {{BugKind::RetireIgnoresValidResult, 4, 2, 1},
+       {1, "unexpected number of implementation updates: got 7, expected 8",
+        {0, 0, 0, 0, 0, 0, 0}}},
+      {{BugKind::CompletionSkipsWrite, 8, 2, 4},
+       {1,
+        "unexpected number of implementation updates: got 11, expected 12",
+        {0, 0, 0, 0, 0, 0, 0}}},
+      {{BugKind::CompletionSkipsWrite, 5, 2, 5},
+       {1, "unexpected number of implementation updates: got 8, expected 9",
+        {0, 0, 0, 0, 0, 0, 0}}},
+  };
+  for (const Row& r : rows)
+    if (r.param.kind == p.kind && r.param.n == p.n && r.param.k == p.k &&
+        r.param.index == p.index)
+      return r.pin;
+  ADD_FAILURE() << "no pinned result for this bug cell";
+  return {0, "", {}};
+}
+
 TEST_P(EngineBugs, FlagsTheBuggySlice) {
   const auto [kind, n, k, index] = GetParam();
   Context cx;
@@ -279,6 +433,11 @@ TEST_P(EngineBugs, FlagsTheBuggySlice) {
     EXPECT_GE(rw.failedSlice, 1u);
     EXPECT_LE(rw.failedSlice, index);
   }
+  const BugPin pin = bugPin(GetParam());
+  EXPECT_EQ(rw.failedSlice, pin.failedSlice);
+  EXPECT_EQ(rw.message, pin.message);
+  EXPECT_EQ(rw.updatesRemoved, 0u);
+  expectPinned(rw.stats, pin.stats);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -316,7 +475,115 @@ TEST(EngineBugsPaper, Slice72Of128) {
       cx, isa, impl->init, impl->config, d.implRegFile, d.specRegFile);
   ASSERT_FALSE(rw.ok);
   EXPECT_EQ(rw.failedSlice, 72u);
+  EXPECT_EQ(rw.message,
+            "forwarded operand 1 cannot be matched against the "
+            "specification-side read (rule 2.1)");
+  expectPinned(rw.stats, {71, 132, 6, 4, 142, 354, 6});
 }
+
+// ---- support-pruned case split -------------------------------------------------
+
+struct PruneCell {
+  const char* name;
+  unsigned n, k;
+  models::BugKind bug;
+  unsigned index;
+};
+
+void PrintTo(const PruneCell& c, std::ostream* os) { *os << c.name; }
+
+class PrunedCaseSplit : public ::testing::TestWithParam<PruneCell> {};
+
+// On every slice, the case split that keeps the nodes outside the slice's
+// support must give the node id the full rebuild gives, and intern exactly
+// the same scratch: under Valid_i with ValidResult_i true and false (both
+// sides' data), and under ValidResult_i alone (the per-level spec check).
+TEST_P(PrunedCaseSplit, MatchesTheFullRebuildOnEverySlice) {
+  const PruneCell& c = GetParam();
+  Context cx;
+  const models::Isa isa = models::Isa::declare(cx);
+  auto impl = models::buildOoO(cx, isa, {c.n, c.k}, {c.bug, c.index});
+  auto spec = models::buildSpec(cx, isa);
+  const core::Diagram d = core::buildDiagram(cx, *impl, *spec);
+  const models::RobInitState& init = impl->init;
+
+  // A structural bug may drop an update from either chain (the
+  // specification side flushes the implementation's initial state); the
+  // slices that have one are compared.
+  const UpdateChain ic = extractChain(cx, d.implRegFile);
+  const UpdateChain sc = extractChainTo(cx, d.specRegFile[0], init.regFile);
+  ASSERT_GE(ic.updates.size(), 2 * c.k);
+  const std::size_t flushes = ic.updates.size() - 2 * c.k;
+  const auto support = caseSplitSupport(cx, init);
+  ASSERT_EQ(support.size(), cx.numNodes());
+
+  std::uint64_t prunedTotal = 0, fullTotal = 0;
+  auto same = [&](Expr root, const BoolAssumptions& assume, unsigned i,
+                  const char* what) {
+    eufm::ShadowContext a(cx), b(cx);
+    std::uint64_t pruned = 0, full = 0;
+    const Expr pr = substituteShallow(a, root, assume, SupportKeep{support, i},
+                                      &pruned);
+    const Expr fr = substituteShallow(b, root, assume, keepNothing, &full);
+    EXPECT_EQ(pr, fr) << what << ", slice " << i + 1;
+    EXPECT_EQ(a.localNodes(), b.localNodes()) << what << ", slice " << i + 1;
+    EXPECT_LE(pruned, full);
+    prunedTotal += pruned;
+    fullTotal += full;
+  };
+  for (unsigned i = 0; i < c.n; ++i) {
+    const BoolAssumptions vr1{{init.valid[i], true},
+                              {init.validResult[i], true}};
+    const BoolAssumptions vr0{{init.valid[i], true},
+                              {init.validResult[i], false}};
+    const BoolAssumptions level{{init.validResult[i], true}};
+    if (i < flushes) {
+      const Expr implData = ic.updates[c.k + i].data;
+      same(implData, vr1, i, "impl data, ValidResult true");
+      same(implData, vr0, i, "impl data, ValidResult false");
+    }
+    if (i < sc.updates.size()) {
+      const Expr specData = sc.updates[i].data;
+      same(specData, vr1, i, "spec data, ValidResult true");
+      same(specData, vr0, i, "spec data, ValidResult false");
+      same(specData, level, i, "spec data, ValidResult alone");
+    }
+  }
+  // The forwarding chains make the full rebuild grow with the slice index.
+  if (c.n >= 16) {
+    EXPECT_LT(2 * prunedTotal, fullTotal);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, PrunedCaseSplit,
+    ::testing::Values(
+        PruneCell{"N1k1", 1, 1, models::BugKind::None, 0},
+        PruneCell{"N2k1", 2, 1, models::BugKind::None, 0},
+        PruneCell{"N2k2", 2, 2, models::BugKind::None, 0},
+        PruneCell{"N3k1", 3, 1, models::BugKind::None, 0},
+        PruneCell{"N3k2", 3, 2, models::BugKind::None, 0},
+        PruneCell{"N3k3", 3, 3, models::BugKind::None, 0},
+        PruneCell{"N4k2", 4, 2, models::BugKind::None, 0},
+        PruneCell{"N4k4", 4, 4, models::BugKind::None, 0},
+        PruneCell{"N5k3", 5, 3, models::BugKind::None, 0},
+        PruneCell{"N6k2", 6, 2, models::BugKind::None, 0},
+        PruneCell{"N8k4", 8, 4, models::BugKind::None, 0},
+        PruneCell{"N8k8", 8, 8, models::BugKind::None, 0},
+        PruneCell{"N12k2", 12, 2, models::BugKind::None, 0},
+        PruneCell{"N16k8", 16, 8, models::BugKind::None, 0},
+        PruneCell{"fwd_N16k4i12", 16, 4,
+                  models::BugKind::ForwardingWrongOperand, 12},
+        PruneCell{"stale_N8k2i6", 8, 2, models::BugKind::ForwardingStaleResult,
+                  6},
+        PruneCell{"retire_N6k3i2", 6, 3,
+                  models::BugKind::RetireIgnoresValidResult, 2},
+        PruneCell{"alu_N8k4i3", 8, 4, models::BugKind::AluWrongOpcode, 3},
+        PruneCell{"completion_N8k2i4", 8, 2,
+                  models::BugKind::CompletionSkipsWrite, 4},
+        PruneCell{"paper_fwd_N128k4i72", 128, 4,
+                  models::BugKind::ForwardingWrongOperand, 72}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // The forwarding bug only mis-wires operand 1 of one slice; if the buggy
 // slice's two source registers are the same variable the design is

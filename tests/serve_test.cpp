@@ -15,12 +15,14 @@
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -658,6 +660,153 @@ TEST(ServeSocket, OverlongLineGetsOneErrorThenEof) {
   ASSERT_TRUE(resp.has_value()) << err;
   EXPECT_FALSE(resp->error.empty());
   EXPECT_EQ(resp->exitCode, 2);
+}
+
+/// Open descriptors of this process (the listing's own fd included, so two
+/// counts compare).
+std::size_t openFds() {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+/// A plain unix-socket connection to `path` (no Client framing); -1 on
+/// failure.
+int connectUnixFd(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Read from `fd` until EOF or `seconds` pass; false on timeout.
+bool readToEof(int fd, std::string* received, double seconds = 5) {
+  const Timer t;
+  while (t.seconds() < seconds) {
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, 100) <= 0) continue;
+    char buf[4096];
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0) return true;
+    received->append(buf, static_cast<std::size_t>(n));
+  }
+  return false;
+}
+
+TEST(ServeSocket, ClosedConnectionsReleaseTheirDescriptors) {
+  const std::string path =
+      "/tmp/velev_serve_fds_" + std::to_string(::getpid()) + ".sock";
+  serve::ServerOptions opts;
+  opts.unixSocketPath = path;
+  serve::VerifyServer server(opts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  const std::size_t before = openFds();
+  for (int i = 0; i < 300; ++i) {
+    auto client = serve::Client::connect("unix:" + path, &err);
+    ASSERT_TRUE(client.has_value()) << "connection " << i << ": " << err;
+    const auto pong = client->roundTripLine(R"({"op": "ping"})", &err);
+    ASSERT_TRUE(pong.has_value()) << "connection " << i << ": " << err;
+  }
+  EXPECT_TRUE(waitFor([&] { return openFds() <= before; }, 2))
+      << openFds() - before << " descriptors still open";
+  EXPECT_EQ(server.collector().counter("serve.connections"), 300u);
+  server.stop();
+}
+
+TEST(ServeSocket, ConnectionPastTheCapGetsOneErrorThenEof) {
+  const std::string path =
+      "/tmp/velev_serve_cap_" + std::to_string(::getpid()) + ".sock";
+  serve::ServerOptions opts;
+  opts.unixSocketPath = path;
+  serve::VerifyServer server(opts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  // Fill the cap; a ping answered proves each connection was accepted.
+  std::vector<serve::Client> clients;
+  for (std::size_t i = 0; i < serve::VerifyServer::kMaxConnections; ++i) {
+    auto client = serve::Client::connect("unix:" + path, &err);
+    ASSERT_TRUE(client.has_value()) << err;
+    ASSERT_TRUE(client->roundTripLine(R"({"op": "ping"})", &err).has_value())
+        << "connection " << i << ": " << err;
+    clients.push_back(std::move(*client));
+  }
+
+  // The connection past the cap is answered without asking anything.
+  const int fd = connectUnixFd(path);
+  ASSERT_GE(fd, 0);
+  std::string received;
+  EXPECT_TRUE(readToEof(fd, &received)) << "no EOF";
+  ::close(fd);
+  ASSERT_EQ(std::count(received.begin(), received.end(), '\n'), 1)
+      << received;
+  const auto resp = core::VerifyResponse::parse(received, &err);
+  ASSERT_TRUE(resp.has_value()) << err;
+  EXPECT_NE(resp->error.find("too many connections"), std::string::npos)
+      << resp->error;
+  EXPECT_EQ(resp->exitCode, 2);
+  EXPECT_GE(server.collector().counter("serve.connections.rejected"), 1u);
+
+  // The cap counts open connections: once one closes, a new one is served.
+  clients.pop_back();
+  EXPECT_TRUE(waitFor(
+      [&] {
+        auto again = serve::Client::connect("unix:" + path);
+        return again.has_value() &&
+               again->roundTripLine(R"({"op": "ping"})").has_value();
+      },
+      2));
+  clients.clear();
+  server.stop();
+}
+
+TEST(ServeSocket, ClientGoneBeforeItsAnswerStillReleasesItsDescriptor) {
+  // A client pipelines a slow request and hangs up at once; the answer has
+  // nowhere to go, and the connection's fd must still be closed once the
+  // job is done.
+  const std::string path =
+      "/tmp/velev_serve_gone_" + std::to_string(::getpid()) + ".sock";
+  serve::ServerOptions opts;
+  opts.unixSocketPath = path;
+  serve::VerifyServer server(opts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  const std::size_t before = openFds();
+  core::VerifyRequest slow = smallRequest(7);
+  slow.robSize = 3;
+  slow.issueWidth = 3;
+  slow.strategy = core::Strategy::PositiveEqualityOnly;  // ~0.5 s
+  {
+    const int fd = connectUnixFd(path);
+    ASSERT_GE(fd, 0);
+    const std::string line = compactJson(slow.toJson()) + "\n";
+    ASSERT_EQ(::send(fd, line.data(), line.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(line.size()));
+    ASSERT_TRUE(waitFor(
+        [&] { return server.collector().counter("serve.jobs") >= 1; }));
+    ::close(fd);
+  }
+  ASSERT_TRUE(waitFor(
+      [&] {
+        const serve::ResultCache::Stats cs = server.cacheStats();
+        return cs.misses == 1 && cs.inflight == 0;
+      },
+      60));
+  EXPECT_TRUE(waitFor([&] { return openFds() <= before; }, 2))
+      << openFds() - before << " descriptors still open";
+  server.stop();
 }
 
 // ---- per-worker solve memo --------------------------------------------------
