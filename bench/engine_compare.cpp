@@ -1,7 +1,7 @@
 // SAT vs BDD decision-engine comparison on the same translated formulas.
 //
-// Each cell is verified twice — once with Engine::Sat (Tseitin CNF + the
-// CDCL portfolio flow) and once with Engine::Bdd (shared ROBDDs built
+// Each cell is verified twice — once with Engine::Sat (Tseitin CNF +
+// inprocessing + CDCL) and once with Engine::Bdd (shared ROBDDs built
 // straight from the AIG, no Tseitin) — under the same deterministic logical
 // budget. The bench reports both engines' per-stage times and the BDD's
 // peak node count, and cross-checks the verdicts: any conclusive

@@ -14,16 +14,6 @@ namespace velev::core {
 
 namespace {
 
-/// One cell end to end: fresh context + models, then verifyWith (which
-/// arms the governor) — the one-Context-per-cell rule.
-VerifyReport verifyCell(const VerifyRequest& req, const VerifyOptions& opts) {
-  eufm::Context cx;
-  const models::Isa isa = models::Isa::declare(cx);
-  auto impl = models::buildOoO(cx, isa, req.config(), req.bug);
-  auto spec = models::buildSpec(cx, isa);
-  return verifyWith(cx, isa, *impl, *spec, opts);
-}
-
 GridCell gridCell(const VerifyRequest& req) {
   return GridCell{req.robSize, req.issueWidth, req.bug};
 }
@@ -75,7 +65,8 @@ VerifyResponse attempt(const VerifyRequest& req, const GridRunOptions& opts,
   // and counters), so layering it on here never perturbs a stored answer.
   if (opts.cellJobs > 1) vopts.jobs = opts.cellJobs;
   Timer t;
-  const VerifyReport rep = verifyCell(req, vopts);
+  // verify() builds a fresh context per call: the one-Context-per-cell rule.
+  const VerifyReport rep = verify(req, vopts);
   VerifyResponse resp = VerifyResponse::fromReport(req, rep, t.seconds());
   if (store != nullptr) store->put(resp);
   return resp;

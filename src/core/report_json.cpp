@@ -23,6 +23,7 @@ ReportCell makeReportCell(const GridCellResult& res, std::string label) {
   c.label = std::move(label);
   c.verdict = verdictName(resp.verdict);
   c.reason = resp.reason;
+  c.failedSlice = resp.failedSlice;
   c.wallSeconds = res.wallSeconds;
   c.satConflicts = resp.counter("sat.conflicts");
   c.peakArenaBytes = resp.peakArenaBytes;
@@ -43,6 +44,7 @@ ReportCell makeReportCell(const models::OoOConfig& cfg, std::string label,
   c.label = std::move(label);
   c.verdict = verdictName(rep.verdict());
   c.reason = rep.outcome.reason;
+  c.failedSlice = rep.outcome.failedSlice;
   c.wallSeconds = wallSeconds;
   c.satConflicts = rep.satStats.conflicts;
   c.peakArenaBytes = rep.outcome.peakArenaBytes;
@@ -59,6 +61,7 @@ void writeReportCell(JsonWriter& w, const ReportCell& c) {
   if (!c.label.empty()) w.kv("label", c.label);
   w.kv("verdict", c.verdict);
   if (!c.reason.empty()) w.kv("reason", c.reason);
+  if (c.failedSlice != 0) w.kv("failed_slice", c.failedSlice);
   w.kv("wall_seconds", c.wallSeconds);
   w.kv("sat_conflicts", c.satConflicts);
   w.kv("peak_arena_bytes", c.peakArenaBytes);

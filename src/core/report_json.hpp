@@ -7,13 +7,14 @@
 // is the superset record and writeReportCell() the single emitter:
 //
 //   { "rob_size": uint, "width": uint, "label"?: str, "verdict": str,
-//     "reason"?: str, "wall_seconds": num, "sat_conflicts": uint,
-//     "peak_arena_bytes": uint, "mem_high_water_kb": uint,
-//     "fell_back"?: true, "first_verdict"?: str,
+//     "reason"?: str, "failed_slice"?: uint, "wall_seconds": num,
+//     "sat_conflicts": uint, "peak_arena_bytes": uint,
+//     "mem_high_water_kb": uint, "fell_back"?: true, "first_verdict"?: str,
 //     "counters"?: { str: uint ... }, "stage_seconds"?: { str: num ... } }
 //
-// Optional keys are emitted only when meaningful (empty label/reason and
-// fell_back=false are omitted), so existing consumers keep parsing.
+// Optional keys are emitted only when meaningful (empty label/reason, a
+// zero failed_slice and fell_back=false are omitted), so existing consumers
+// keep parsing.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +33,7 @@ struct ReportCell {
   std::string label;        // e.g. strategy or phase; may be empty
   std::string verdict;      // core::verdictName() or bench-specific
   std::string reason;       // budget-trip / mismatch text; may be empty
+  unsigned failedSlice = 0; // rewrite-mismatch only: the 1-based slice
   double wallSeconds = 0;
   std::uint64_t satConflicts = 0;
   std::uint64_t peakArenaBytes = 0;

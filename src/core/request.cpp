@@ -393,14 +393,18 @@ std::optional<VerifyResponse> VerifyResponse::parse(std::string_view text,
   return fromJson(*v, error);
 }
 
-VerifyReport verify(const VerifyRequest& req, sat::SolveMemo* memo) {
-  VerifyOptions opts = req.options();
-  opts.satMemo = memo;
+VerifyReport verify(const VerifyRequest& req, const VerifyOptions& opts) {
   eufm::Context cx;
   const models::Isa isa = models::Isa::declare(cx);
   auto impl = models::buildOoO(cx, isa, req.config(), req.bug);
   auto spec = models::buildSpec(cx, isa);
   return verifyWith(cx, isa, *impl, *spec, opts);
+}
+
+VerifyReport verify(const VerifyRequest& req, sat::SolveMemo* memo) {
+  VerifyOptions opts = req.options();
+  opts.satMemo = memo;
+  return verify(req, opts);
 }
 
 }  // namespace velev::core

@@ -178,10 +178,16 @@ struct VerifyResponse {
 };
 
 /// Verify the cell a request describes — the primary entry point of the
-/// library since the velev_serve API redesign. `memo` optionally consults a
-/// content-addressed solve memo first (sat/memo.hpp: identical CNFs replay
-/// one finished solve, stats and all); each serve worker passes its own.
-/// It is never part of the serialized request.
+/// library, behind the CLI (single and grid mode), the velev_serve daemon
+/// and the benches. A fresh eufm::Context and the request's models, then
+/// verifyWith() under `opts`: normally req.options() plus the run-local
+/// extras no request serializes (a SolveMemo, intra-cell jobs, CNF and
+/// proof outputs).
+VerifyReport verify(const VerifyRequest& req, const VerifyOptions& opts);
+
+/// verify(req, req.options()), consulting `memo` first when given
+/// (sat/memo.hpp: identical CNFs replay one finished solve, stats and all);
+/// each serve worker passes its own.
 VerifyReport verify(const VerifyRequest& req, sat::SolveMemo* memo = nullptr);
 
 }  // namespace velev::core

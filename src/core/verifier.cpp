@@ -204,8 +204,9 @@ VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
     evc::TranslateOptions topts;
     topts.ufScheme = opts.ufScheme;
     // The Bdd-only engine consumes the AIG directly — skip Tseitin and emit
-    // just the transitivity side clauses. Sat and Both need the full CNF.
-    topts.emitCnf = opts.engine != Engine::Bdd;
+    // just the transitivity side clauses, unless the caller wants the CNF.
+    // Sat and Both need the full CNF.
+    topts.emitCnf = opts.engine != Engine::Bdd || opts.cnfOut != nullptr;
     topts.pool = pool.get();
 
     // 2. Rewriting rules (optional): prove & remove the updates of the
@@ -248,6 +249,7 @@ VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
     }();
     rep.evcStats = tr.stats;
     rep.outcome.seconds.translate = timer.seconds();
+    if (opts.cnfOut != nullptr) *opts.cnfOut = tr.cnf;
 
     // 4. Decision engine(s): the design is correct iff the negated formula
     //    is unsatisfiable — by CNF + CDCL, by ROBDD reduction to the false
@@ -289,9 +291,11 @@ VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
         // An identical earlier solve replays from the memo (sat/memo.hpp),
         // stats and all; only untripped runs store. A memory budget turns
         // the memo off: a replay skips the SAT stage's arena charge, and
-        // the key has no memory term.
+        // the key has no memory term. So does a proof: a replay logs none.
         sat::SolveMemo* memo =
-            opts.budget.memoryBytes == 0 ? opts.satMemo : nullptr;
+            opts.budget.memoryBytes == 0 && opts.proof == nullptr
+                ? opts.satMemo
+                : nullptr;
         const std::uint64_t mkey =
             memo != nullptr ? sat::SolveMemo::key(tr.cnf, opts.inprocess,
                                                   opts.budget.satConflicts)
@@ -307,7 +311,8 @@ VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
         } else {
           rep.outcome.satResult = sat::solveCnfInprocessed(
               tr.cnf, opts.inprocess, nullptr, &rep.satStats,
-              opts.budget.satConflicts, nullptr, &gov, &rep.inprocessStats);
+              opts.budget.satConflicts, opts.proof, &gov,
+              &rep.inprocessStats);
           rep.inprocessed = opts.inprocess.enabled;
           if (memo != nullptr && !gov.exceeded())
             memo->store(mkey, {rep.outcome.satResult, rep.satStats,

@@ -91,8 +91,17 @@ struct VerifyOptions {
   /// identical options replays the stored result and per-call stats, so
   /// verdicts and counters match a fresh solve. Ignored under a memory
   /// budget, where a replay could say `correct` for a run that would trip
-  /// `memout`. Thread-safe; not owned.
+  /// `memout`, and under `proof`, which needs a real solve. Thread-safe;
+  /// not owned.
   sat::SolveMemo* satMemo = nullptr;
+  /// When set, receives a copy of the translated CNF (`--dump-cnf`, the
+  /// proof self-check). Tseitin then runs under Engine::Bdd too. Not owned;
+  /// like satMemo, not part of the serializable VerifyRequest.
+  prop::Cnf* cnfOut = nullptr;
+  /// When set, the SAT stage logs a DRAT proof here: the inprocessing
+  /// steps, then the CDCL steps. On an Unsat answer it certifies against
+  /// the translated CNF (sat::checkRup). Not owned.
+  sat::Proof* proof = nullptr;
   /// Worker threads available *inside* this one verification: with jobs > 1
   /// a private pool shards the rewrite slice checks (per-slice
   /// eufm::ShadowContext overlays) and the CNF build (sharded Tseitin, one
@@ -171,8 +180,8 @@ struct ContextStats {
 };
 
 /// Fill a ContextStats by one linear scan of the DAG. verifyWith() calls it
-/// when a run finishes; callers that hand-roll the pipeline (velev_verify's
-/// single mode) use it the same way.
+/// when a run finishes; callers that drive the stages themselves (the
+/// benchmark's traced chain) use it the same way.
 ContextStats scanContext(const eufm::Context& cx);
 
 struct VerifyReport {
@@ -218,11 +227,10 @@ std::vector<std::pair<std::string, std::uint64_t>> reportCounters(
 /// models (lets benchmarks and the fuzz oracles reuse the expensive model
 /// construction and inspect the expressions). This is the low-level
 /// expanded-options entry point — VerifyOptions can carry state a
-/// serializable request cannot (a SolveMemo, non-default inprocessing
-/// knobs); request-driven callers go through verify(const VerifyRequest&,
-/// sat::SolveMemo*) in core/request.hpp, the single request representation
-/// shared by the CLI, the grid runner, the benches and the velev_serve
-/// daemon.
+/// serializable request cannot (a SolveMemo, CNF and proof outputs,
+/// non-default inprocessing knobs); request-driven callers go through
+/// verify() in core/request.hpp, the single request representation shared
+/// by the CLI, the grid runner, the benches and the velev_serve daemon.
 VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
                         models::OoOProcessor& impl,
                         models::SpecProcessor& spec,

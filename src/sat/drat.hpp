@@ -16,7 +16,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <span>
 #include <vector>
 
 #include "prop/cnf.hpp"
@@ -44,17 +43,6 @@ struct Proof {
 /// the current clause database, and the proof must derive the empty clause.
 /// Returns true iff the proof certifies unsatisfiability of `cnf`.
 bool checkRup(const prop::Cnf& cnf, const Proof& proof);
-
-/// Verify a proof of assumption-conditional unsatisfiability: the claim
-/// "cnf ∧ assumptions is UNSAT", as produced by an incremental
-/// Solver::solve(assumptions) call (whose final proof step is the failed-
-/// assumption clause, not the empty clause). Checks the proof against
-/// `cnf` extended with the assumption units; an empty clause is appended
-/// when the proof does not already end with one, since under the
-/// assumptions the failed-assumption clause propagates to a conflict.
-bool checkRupUnderAssumptions(const prop::Cnf& cnf,
-                              std::span<const prop::CnfLit> assumptions,
-                              const Proof& proof);
 
 /// Write the proof in the standard DRAT text format (for external
 /// checkers).

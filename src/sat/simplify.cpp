@@ -985,11 +985,10 @@ SimplifyResult inprocess(const prop::Cnf& in, const InprocessOptions& opts,
 Result solveCnfInprocessed(const prop::Cnf& cnf, const InprocessOptions& iopts,
                            std::vector<bool>* model, Stats* stats,
                            std::int64_t conflictBudget, Proof* proof,
-                           BudgetGovernor* budget, InprocessStats* istats,
-                           std::span<const std::uint32_t> frozen) {
+                           BudgetGovernor* budget, InprocessStats* istats) {
   if (!iopts.enabled)
     return solveCnf(cnf, model, stats, conflictBudget, proof, budget);
-  SimplifyResult sr = inprocess(cnf, iopts, proof, budget, frozen);
+  SimplifyResult sr = inprocess(cnf, iopts, proof, budget);
   if (istats != nullptr) *istats = sr.stats;
   // Even a provedUnsat simplification goes through solveCnf (the simplified
   // CNF contains the empty clause, so the call returns immediately): the

@@ -23,10 +23,9 @@
 // simplified CNF into a model of the original CNF over ALL original
 // variables — counterexample decoding (fuzz/decode.cpp) reads primary
 // inputs from the model, so the extension is not optional. Frozen
-// variables (assumption literals) are never eliminated or substituted,
-// which keeps assumption-conditional equisatisfiability: for every
-// assignment of the frozen variables, the simplified and original CNFs
-// agree on satisfiability.
+// variables are never eliminated or substituted, which keeps conditional
+// equisatisfiability: for every assignment of the frozen variables, the
+// simplified and original CNFs agree on satisfiability.
 //
 // PROOF CONTRACT. With a Proof attached, every added clause is RUP with
 // respect to the checker database at that point (resolvents, strengthened
@@ -146,7 +145,6 @@ Result solveCnfInprocessed(const prop::Cnf& cnf, const InprocessOptions& iopts,
                            std::int64_t conflictBudget = -1,
                            Proof* proof = nullptr,
                            BudgetGovernor* budget = nullptr,
-                           InprocessStats* istats = nullptr,
-                           std::span<const std::uint32_t> frozen = {});
+                           InprocessStats* istats = nullptr);
 
 }  // namespace velev::sat

@@ -13,14 +13,12 @@
 // maps back to the abstract processor's control signals (a counterexample).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "prop/cnf.hpp"
 #include "sat/drat.hpp"
-#include "support/rng.hpp"
 
 namespace velev {
 class BudgetGovernor;
@@ -36,12 +34,6 @@ struct Options {
   int lubyUnit = 512;          // conflicts per restart-unit
   int reduceBase = 2000;       // conflicts before first DB reduction
   int reduceIncrement = 300;   // growth of the reduction interval
-
-  // Diversification knobs for the seed portfolio (sat/portfolio.hpp). The
-  // defaults leave the solver bit-for-bit deterministic, as before.
-  std::uint64_t seed = 0;          // seeds the tie-breaking RNG
-  double randomDecisionFreq = 0;   // P(decision picks a random unassigned var)
-  bool randomInitPhase = false;    // randomize the initial saved phases
 };
 
 struct Stats {
@@ -66,30 +58,14 @@ class Solver {
   /// formula is already unsatisfiable at level 0. May be called between
   /// solve() calls: any leftover assignment from the previous call is
   /// undone first (the clause database, variable activities and saved
-  /// phases are retained — that is the point of the incremental interface).
+  /// phases are retained).
   bool addClause(std::span<const prop::CnfLit> lits);
 
   /// Solve; `conflictBudget < 0` means no limit.
   Result solve(std::int64_t conflictBudget = -1);
 
-  /// Incremental solve under `assumptions` (DIMACS literals), MiniSat
-  /// style: the assumptions are enqueued as pseudo-decisions before any
-  /// real decision, so every learnt clause is implied by the clause
-  /// database alone and retention across calls with different assumptions
-  /// is sound. An Unsat answer caused by the assumptions does NOT poison
-  /// the solver (okay() stays true); failedAssumptions() then holds a
-  /// clause over negated assumptions that the database refutes — with a
-  /// proof attached, that clause is also emitted as the final proof step,
-  /// checkable via checkRupUnderAssumptions().
-  Result solve(std::span<const prop::CnfLit> assumptions,
-               std::int64_t conflictBudget);
-
-  /// After an assumption-caused Unsat: the refuted subset, as a clause of
-  /// negated assumption literals (DIMACS). Empty after a genuine Unsat.
-  const prop::Clause& failedAssumptions() const { return failed_; }
-
-  /// False once the clause database itself (no assumptions) is refuted at
-  /// level 0; every later solve() returns Unsat immediately.
+  /// False once the clause database is refuted at level 0; every later
+  /// solve() returns Unsat immediately.
   bool okay() const { return okay_; }
 
   /// After Result::Sat: value of a DIMACS variable (1-based).
@@ -100,21 +76,11 @@ class Solver {
   /// can be certified with checkRup().
   void setProof(Proof* proof) { proof_ = proof; }
 
-  /// Cooperative cancellation: solve() polls `flag` once per propagation
-  /// round and returns Result::Unknown when it becomes true. The atomic
-  /// must outlive the solve call; pass nullptr to detach. This is how the
-  /// seed portfolio stops the losing solvers after the first verdict.
-  void setCancel(const std::atomic<bool>* flag) { cancel_ = flag; }
-  bool cancelled() const {
-    return cancel_ != nullptr && cancel_->load(std::memory_order_relaxed);
-  }
-
-  /// Cooperative resource governance, alongside the cancellation hook:
-  /// solve() polls the governor once per propagation round (reporting the
-  /// clause arena's logical bytes) and returns Result::Unknown when a
-  /// budget is exhausted. A solver never throws mid-propagation — the
-  /// caller disambiguates Unknown via BudgetGovernor::exceeded(). The
-  /// governor may be shared by all instances of a portfolio.
+  /// Cooperative resource governance: solve() polls the governor once per
+  /// propagation round (reporting the clause arena's logical bytes) and
+  /// returns Result::Unknown when a budget is exhausted. A solver never
+  /// throws mid-propagation — the caller disambiguates Unknown via
+  /// BudgetGovernor::exceeded().
   void setBudget(BudgetGovernor* governor);
   BudgetGovernor* budgetGovernor() const { return budget_; }
 
@@ -182,7 +148,6 @@ class Solver {
   CRef propagate();
   void analyze(CRef conflict, std::vector<Lit>& outLearnt,
                std::uint32_t& outBtLevel, std::uint32_t& outLbd);
-  void analyzeFinal(Lit p);  // fills failed_; p is on the trail (true)
   bool litRedundant(Lit l, std::uint32_t abstractLevels);
   void backtrack(std::uint32_t level);
   Lit pickBranchLit();
@@ -227,15 +192,10 @@ class Solver {
   std::vector<Lit> analyzeToClear_;
   std::vector<Lit> analyzeStack_;
 
-  std::vector<Lit> assumptions_;  // of the solve() call in flight
-  prop::Clause failed_;           // last failed-assumption clause (DIMACS)
-
   bool okay_ = true;
   std::int64_t conflictsUntilReduce_ = 0;
   int reduceCount_ = 0;
 
-  Rng rng_;
-  const std::atomic<bool>* cancel_ = nullptr;
   BudgetGovernor* budget_ = nullptr;
   int budgetSource_ = -1;
   Proof* proof_ = nullptr;

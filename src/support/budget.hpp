@@ -21,10 +21,11 @@
 // process-wide RSS high-water mark is still *recorded* for accounting, it
 // just never trips a budget.
 //
-// Thread-safety: a governor may be shared by the solver instances of a SAT
-// portfolio, so all mutating entry points are lock-free atomics. The trip is
-// sticky — the first checkpoint that observes exhaustion wins a CAS, writes
-// the reason, and every later poll sees the same verdict.
+// Thread-safety: a governor is shared by the intra-cell workers of one
+// verification (rewrite slices, transitivity components), so all mutating
+// entry points are lock-free atomics. The trip is sticky — the first
+// checkpoint that observes exhaustion wins a CAS, writes the reason, and
+// every later poll sees the same verdict.
 #pragma once
 
 #include <atomic>

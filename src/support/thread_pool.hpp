@@ -1,7 +1,7 @@
 // Work-stealing thread pool for the parallel verification paths: the grid
-// runner in core/, the SAT seed portfolio in sat/, and the intra-cell
-// stages (rewrite slice loop in rewrite/, sharded Tseitin emission in
-// prop/, component-parallel transitivity in evc/).
+// runner in core/ and the intra-cell stages (rewrite slice loop in
+// rewrite/, sharded Tseitin emission in prop/, component-parallel
+// transitivity in evc/).
 //
 // Design:
 //   * a fixed number of workers, each with its own deque: the owner pushes

@@ -22,10 +22,10 @@
 // construction and destruction lands there. This fits the grid runner's
 // one-Context-per-cell ownership rule: each cell attaches its own
 // Collector inside its worker task, so concurrent cells never share a
-// sink and per-cell manifests stay exact. Code that spawns internal
-// threads (the SAT seed portfolio) captures `trace::active()` in the
-// parent and re-attaches it in the children — Collector itself is
-// thread-safe (one mutex; spans are stage-grained, never per-node).
+// sink and per-cell manifests stay exact. Code that wants its internal
+// threads traced captures `trace::active()` in the parent and re-attaches
+// it in the children — Collector itself is thread-safe (one mutex; spans
+// are stage-grained, never per-node).
 //
 // ZERO-COST-WHEN-OFF: with no Collector attached, TRACE_SPAN and
 // TRACE_COUNTER cost one thread-local pointer read and a predictable
@@ -136,7 +136,7 @@ class Use {
   explicit Use(Collector* c) : saved_(detail::tlsState) {
     if (c == nullptr) return;
     // Re-attaching the thread's current collector keeps its tid and depth,
-    // so spans keep nesting (the k=1 portfolio runs on the caller's thread).
+    // so spans keep nesting (a task run inline on the caller's thread).
     if (detail::tlsState.collector == c) return;
     detail::tlsState.collector = c;
     detail::tlsState.tid = c->registerThread();

@@ -23,11 +23,10 @@
 #include "eufm/print.hpp"
 #include "eufm/traverse.hpp"
 
-// prop/ + sat/ — AIG, Tseitin CNF, CDCL solver, DRAT proofs, portfolio.
+// prop/ + sat/ — AIG, Tseitin CNF, CDCL solver, DRAT proofs.
 #include "prop/cnf.hpp"
 #include "prop/prop.hpp"
 #include "sat/drat.hpp"
-#include "sat/portfolio.hpp"
 #include "sat/solver.hpp"
 
 // bdd/ — shared ROBDDs with complement edges: the second decision engine.

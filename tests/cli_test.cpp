@@ -1,7 +1,8 @@
 // End-to-end tests for the `velev_verify` command-line tool: exit codes
 // for correct vs. buggy designs, DIMACS export round-trips through
-// sat::Solver, DRAT proof self-check, and --jobs invariance (parallel
-// verdicts identical to sequential ones). The binary path is injected by
+// sat::Solver, DRAT proof self-check, --jobs invariance (parallel grid
+// verdicts identical to sequential ones) and single mode answering what
+// grid mode answers for the same cell. The binary path is injected by
 // CMake as VELEV_VERIFY_BIN.
 #include <gtest/gtest.h>
 
@@ -42,8 +43,16 @@ CliResult runCli(const std::string& args) {
   return res;
 }
 
-std::string tmpPath(const char* name) {
+std::string tmpPath(const std::string& name) {
   return ::testing::TempDir() + name;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
 // Every per-cell verdict line ("cell NxK: ..."), wall times stripped, for
@@ -78,6 +87,13 @@ TEST(Cli, UsageErrorExitsTwo) {
   EXPECT_EQ(runCli("--bug nonsense").exitCode, 2);
   EXPECT_EQ(runCli("--grid 2x4").exitCode, 2);  // impossible cell
   EXPECT_EQ(runCli("--jobs 0").exitCode, 2);
+  // A bug slice past the design: VerifyRequest::validate() names it.
+  const CliResult bug = runCli("--size 4 --width 2 --bug fwd:9");
+  EXPECT_EQ(bug.exitCode, 2) << bug.output;
+  EXPECT_NE(bug.output.find("bug_index out of range for fwd (1..4)"),
+            std::string::npos)
+      << bug.output;
+  EXPECT_EQ(bug.output.find("check failed"), std::string::npos) << bug.output;
 }
 
 TEST(Cli, UnknownEngineIsAUsageError) {
@@ -176,19 +192,25 @@ TEST(Cli, VerdictHelpersRoundTripEveryVerdict) {
 }
 
 TEST(Cli, DimacsExportRoundTripsThroughSolver) {
-  const std::string cnfPath = tmpPath("cli_export.cnf");
-  const CliResult r = runCli("--size 2 --width 1 --strategy pe --dump-cnf " +
-                             cnfPath + " --quiet");
-  EXPECT_EQ(r.exitCode, 0) << r.output;
+  // Under --engine bdd the pipeline skips Tseitin unless a CNF is wanted;
+  // --dump-cnf still writes the full correctness CNF.
+  for (const char* engine : {"sat", "bdd"}) {
+    const std::string cnfPath =
+        tmpPath(std::string("cli_export_") + engine + ".cnf");
+    const CliResult r =
+        runCli("--size 2 --width 1 --strategy pe --engine " +
+               std::string(engine) + " --dump-cnf " + cnfPath + " --quiet");
+    EXPECT_EQ(r.exitCode, 0) << engine << ": " << r.output;
 
-  std::ifstream in(cnfPath);
-  ASSERT_TRUE(in.good());
-  const prop::Cnf cnf = prop::parseDimacs(in);
-  EXPECT_GT(cnf.numVars, 0u);
-  EXPECT_GT(cnf.numClauses(), 0u);
-  // The exported correctness CNF must agree with the in-process verdict:
-  // UNSAT (the design is correct).
-  EXPECT_EQ(sat::solveCnf(cnf), sat::Result::Unsat);
+    std::ifstream in(cnfPath);
+    ASSERT_TRUE(in.good()) << engine;
+    const prop::Cnf cnf = prop::parseDimacs(in);
+    EXPECT_GT(cnf.numVars, 0u) << engine;
+    EXPECT_GT(cnf.numClauses(), 0u) << engine;
+    // The exported correctness CNF must agree with the in-process verdict:
+    // UNSAT (the design is correct).
+    EXPECT_EQ(sat::solveCnf(cnf), sat::Result::Unsat) << engine;
+  }
 }
 
 TEST(Cli, ProofIsSelfCheckedOnUnsat) {
@@ -204,14 +226,6 @@ TEST(Cli, ProofIsSelfCheckedOnUnsat) {
   EXPECT_FALSE(first.empty());
 }
 
-TEST(Cli, PortfolioProofIsSelfCheckedWithJobs) {
-  const std::string proofPath = tmpPath("cli_proof_jobs.drat");
-  const CliResult r = runCli("--size 2 --width 1 --strategy pe --jobs 3 " +
-                             ("--proof " + proofPath) + " --quiet");
-  EXPECT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_NE(r.output.find("self-check PASSED"), std::string::npos) << r.output;
-}
-
 TEST(Cli, JobsVerdictsIdenticalToSequential) {
   const std::string grid = "--grid 'sizes=2,3,4;widths=1,2' --quiet";
   const CliResult seq = runCli(grid + " --jobs 1");
@@ -222,12 +236,13 @@ TEST(Cli, JobsVerdictsIdenticalToSequential) {
   EXPECT_NE(verdictLines(seq.output), "");
 }
 
-TEST(Cli, SinglePortfolioVerdictMatchesSequential) {
-  const CliResult seq = runCli("--size 2 --width 2 --strategy pe --quiet");
-  const CliResult par =
-      runCli("--size 2 --width 2 --strategy pe --jobs 4 --quiet");
-  EXPECT_EQ(seq.exitCode, 0) << seq.output;
-  EXPECT_EQ(par.exitCode, 0) << par.output;
+TEST(Cli, JobsWithoutGridIsAUsageError) {
+  // --jobs fans out across grid cells; a single run is one cell.
+  const CliResult r = runCli("--size 2 --width 2 --strategy pe --jobs 2");
+  EXPECT_EQ(r.exitCode, 2) << r.output;
+  EXPECT_NE(r.output.find("--cell-jobs parallelises one cell"),
+            std::string::npos)
+      << r.output;
 }
 
 TEST(Cli, CellJobsVerdictsIdenticalToSequential) {
@@ -339,20 +354,15 @@ TEST(Cli, GridWithInjectedBugExitsOneEverywhere) {
 
 TEST(Cli, TraceWritesPerfettoTraceAndVersionedManifest) {
   const std::string dir = tmpPath("cli_trace");
-  const CliResult r =
-      runCli("--size 4 --width 2 --jobs 2 --stats --trace " + dir + " --quiet");
+  const std::string jsonPath = tmpPath("cli_trace.json");
+  const CliResult r = runCli("--size 4 --width 2 --stats --trace " + dir +
+                             " --json " + jsonPath + " --quiet");
   EXPECT_EQ(r.exitCode, 0) << r.output;
-  // --stats prints the stage tree and counters to stderr (merged in).
+  // --stats prints the stage tree and counters to stderr (merged in); the
+  // SAT stage shows the solver's own spans, as in a grid cell.
   EXPECT_NE(r.output.find("stage tree"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("verify.translate"), std::string::npos) << r.output;
-
-  auto slurp = [](const std::string& path) {
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << path;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  };
+  EXPECT_NE(r.output.find("sat.solve"), std::string::npos) << r.output;
 
   std::string err;
   const auto tr = parseJson(slurp(dir + "/trace.json"), &err);
@@ -370,14 +380,25 @@ TEST(Cli, TraceWritesPerfettoTraceAndVersionedManifest) {
   EXPECT_EQ(m->find("config")->uintAt("rob_size"), 4u);
   const JsonValue* counters = m->find("counters");
   ASSERT_NE(counters, nullptr);
-  // The acceptance counters: encoding sizes, rewrite effort, per-seed SAT.
+  // The acceptance counters: encoding sizes, rewrite effort, SAT effort.
   EXPECT_GT(counters->uintAt("evc.p_equations"), 0u);
   EXPECT_GT(counters->uintAt("rewrite.rules_fired"), 0u);
   EXPECT_GT(counters->uintAt("cnf.vars"), 0u);
   EXPECT_NE(counters->find("evc.eij_vars"), nullptr);
-  EXPECT_NE(counters->find("sat.seed0.conflicts"), nullptr);
-  EXPECT_NE(counters->find("sat.seed1.conflicts"), nullptr);
-  EXPECT_NE(counters->find("sat.winner_seed"), nullptr);
+  EXPECT_NE(counters->find("sat.conflicts"), nullptr);
+
+  // Every counter of the --json cell is in the manifest, with its value.
+  const auto report = parseJson(slurp(jsonPath), &err);
+  ASSERT_TRUE(report.has_value()) << err;
+  const JsonValue* cells = report->find("cells");
+  ASSERT_TRUE(cells != nullptr && cells->array.size() == 1u);
+  const JsonValue* cellCounters = cells->array[0].find("counters");
+  ASSERT_NE(cellCounters, nullptr);
+  EXPECT_GT(cellCounters->object.size(), 30u);
+  for (const auto& [name, value] : cellCounters->object) {
+    ASSERT_NE(counters->find(name), nullptr) << name;
+    EXPECT_EQ(counters->uintAt(name), value.number) << name;
+  }
 }
 
 TEST(Cli, GridTraceWritesPerCellAndMergedManifests) {
@@ -473,6 +494,78 @@ TEST(Cli, JsonReportIsWrittenAndWellFormed) {
   EXPECT_NE(json.find("\"verdict\": \"correct\""), std::string::npos);
   EXPECT_NE(json.find("\"mem_high_water_kb\""), std::string::npos);
 }
+
+// ---- single mode answers what grid mode answers ----------------------------
+
+struct SingleGridCell {
+  const char* name;  // test-name suffix
+  unsigned size;
+  unsigned width;
+  const char* flags;  // everything but the cell
+};
+
+void PrintTo(const SingleGridCell& c, std::ostream* os) { *os << c.name; }
+
+// Single mode and grid mode run one pipeline, so the same cell must give
+// the same exit code and the same --json answer: verdict, reason, failed
+// slice, arena peak, conflicts and the full counter block (wall-clock and
+// RSS fields excluded). Timeout cells are left out: their reason holds the
+// elapsed time.
+class CliSingleVsGrid : public ::testing::TestWithParam<SingleGridCell> {};
+
+TEST_P(CliSingleVsGrid, SameCellSameAnswer) {
+  const SingleGridCell& c = GetParam();
+  const std::string n = std::to_string(c.size), k = std::to_string(c.width);
+  const std::string singleJson = tmpPath("single_" + std::string(c.name));
+  const std::string gridJson = tmpPath("grid_" + std::string(c.name));
+  const CliResult single = runCli("--size " + n + " --width " + k + " " +
+                                  c.flags + " --quiet --json " + singleJson);
+  const CliResult grid = runCli("--grid " + n + "x" + k + " " + c.flags +
+                                " --quiet --json " + gridJson);
+  EXPECT_EQ(single.exitCode, grid.exitCode)
+      << single.output << "\n" << grid.output;
+
+  auto onlyCell = [](const std::string& path) {
+    std::string err;
+    std::optional<JsonValue> doc = parseJson(slurp(path), &err);
+    EXPECT_TRUE(doc.has_value()) << path << ": " << err;
+    const JsonValue* cells = doc.has_value() ? doc->find("cells") : nullptr;
+    EXPECT_TRUE(cells != nullptr && cells->array.size() == 1u) << path;
+    return cells != nullptr && cells->array.size() == 1u ? cells->array[0]
+                                                         : JsonValue{};
+  };
+  const JsonValue a = onlyCell(singleJson), b = onlyCell(gridJson);
+  for (const char* key : {"verdict", "reason"})
+    EXPECT_EQ(a.stringAt(key), b.stringAt(key)) << key;
+  for (const char* key : {"failed_slice", "peak_arena_bytes", "sat_conflicts"})
+    EXPECT_EQ(a.uintAt(key), b.uintAt(key)) << key;
+  const JsonValue* ca = a.find("counters");
+  const JsonValue* cb = b.find("counters");
+  ASSERT_TRUE(ca != nullptr && cb != nullptr);
+  ASSERT_EQ(ca->object.size(), cb->object.size());
+  for (std::size_t i = 0; i < ca->object.size(); ++i) {
+    EXPECT_EQ(ca->object[i].first, cb->object[i].first);
+    EXPECT_EQ(ca->object[i].second.number, cb->object[i].second.number)
+        << ca->object[i].first;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, CliSingleVsGrid,
+    ::testing::Values(
+        SingleGridCell{"rw_16x4", 16, 4, ""},
+        SingleGridCell{"rw_48x48", 48, 48, ""},
+        SingleGridCell{"pe_3x2", 3, 2, "--strategy pe"},
+        SingleGridCell{"pe_4x2_stale2", 4, 2, "--strategy pe --bug stale:2"},
+        SingleGridCell{"bdd_4x2", 4, 2, "--engine bdd"},
+        SingleGridCell{"both_3x2", 3, 2, "--engine both"},
+        SingleGridCell{"rw_8x2_fwd3", 8, 2, "--bug fwd:3"},
+        SingleGridCell{"pe_8x4_memout", 8, 4, "--strategy pe --mem-budget 1"},
+        SingleGridCell{"pe_4x4_budget1", 4, 4, "--strategy pe --budget 1"},
+        SingleGridCell{"rw_32x32_no_inprocess", 32, 32, "--no-inprocess"}),
+    [](const ::testing::TestParamInfo<SingleGridCell>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace velev

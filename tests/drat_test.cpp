@@ -7,10 +7,11 @@
 #include <sstream>
 
 #include "core/diagram.hpp"
+#include "core/request.hpp"
 #include "evc/translate.hpp"
 #include "models/spec.hpp"
 #include "sat/drat.hpp"
-#include "sat/portfolio.hpp"
+#include "sat/memo.hpp"
 #include "sat/simplify.hpp"
 #include "sat/solver.hpp"
 #include "support/rng.hpp"
@@ -260,68 +261,6 @@ TEST(Drat, InprocessOnlyRefutationChecks) {
   EXPECT_TRUE(checkRup(cnf, proof));
 }
 
-// ---- assumption-conditional proofs ------------------------------------------
-
-TEST(Drat, AssumptionUnsatProofChecksUnderAssumptions) {
-  // SAT as such, UNSAT under assumptions: the solver's proof ends with the
-  // failed-assumption clause, which checkRupUnderAssumptions completes.
-  Cnf cnf;
-  cnf.numVars = 4;
-  cnf.addClause({-1, 2});
-  cnf.addClause({-2, 3});
-  cnf.addClause({-3, -4});
-  ASSERT_EQ(solveCnf(cnf), Result::Sat);
-
-  Solver s;
-  Proof proof;
-  s.setProof(&proof);
-  s.ensureVars(cnf.numVars);
-  for (const auto& c : cnf.clauses) ASSERT_TRUE(s.addClause(c));
-  const prop::CnfLit assume[] = {1, 4};
-  ASSERT_EQ(s.solve(assume, -1), Result::Unsat);
-  EXPECT_FALSE(s.failedAssumptions().empty());
-  EXPECT_TRUE(checkRupUnderAssumptions(cnf, assume, proof));
-  // Not a proof of unconditional unsatisfiability.
-  EXPECT_FALSE(checkRup(cnf, proof));
-  // The session is not poisoned: without the assumptions, still SAT.
-  EXPECT_EQ(s.solve(), Result::Sat);
-}
-
-TEST(Drat, PortfolioWinnerProofChecksUnderAssumptions) {
-  // The portfolio's combined proof (shared inprocessing front end with
-  // the assumption variables frozen, then the winner's clauses) must
-  // certify "cnf ∧ assumptions is UNSAT" against the ORIGINAL formula.
-  Rng rng(777);
-  unsigned certified = 0;
-  for (int iter = 0; iter < 80; ++iter) {
-    Cnf cnf;
-    cnf.numVars = 6 + rng.below(4);
-    const unsigned m = 14 + rng.below(20);
-    for (unsigned i = 0; i < m; ++i) {
-      Clause c;
-      const unsigned len = 2 + rng.below(2);
-      for (unsigned j = 0; j < len; ++j) {
-        const int v = 1 + static_cast<int>(rng.below(cnf.numVars));
-        c.push_back(rng.coin() ? v : -v);
-      }
-      cnf.addClause(c);
-    }
-    const prop::CnfLit assume[] = {
-        rng.coin() ? 1 : -1,
-        static_cast<prop::CnfLit>(rng.coin() ? 2 : -2)};
-    PortfolioOptions popts;
-    popts.instances = 2;
-    popts.wantProof = true;
-    popts.assumptions.assign(std::begin(assume), std::end(assume));
-    PortfolioReport rep;
-    if (solvePortfolio(cnf, popts, &rep) != Result::Unsat) continue;
-    EXPECT_TRUE(checkRupUnderAssumptions(cnf, assume, rep.proof))
-        << "iter " << iter;
-    ++certified;
-  }
-  EXPECT_GT(certified, 10u);
-}
-
 TEST(Drat, InprocessedProcessorProofIsCertified) {
   // End-to-end with the front end enabled: the PE-only correctness CNF of
   // a correct processor, refuted through inprocess + CDCL, certifies
@@ -357,6 +296,31 @@ TEST(Drat, ProcessorVerificationIsCertified) {
   Proof proof;
   ASSERT_EQ(solveCnf(tr.cnf, nullptr, nullptr, -1, &proof), Result::Unsat);
   EXPECT_TRUE(checkRup(tr.cnf, proof));
+}
+
+TEST(Drat, PipelineProofCertifiesAndSkipsTheSolveMemo) {
+  // VerifyOptions::proof through core::verify (velev_verify --proof): the
+  // SAT stage's log certifies against the CNF handed back through cnfOut,
+  // and a proof run solves afresh even when the memo holds the answer.
+  core::VerifyRequest req;
+  req.robSize = 2;
+  req.issueWidth = 1;
+  req.strategy = core::Strategy::PositiveEqualityOnly;
+  SolveMemo memo;
+  ASSERT_EQ(core::verify(req, &memo).verdict(), core::Verdict::Correct);
+  ASSERT_EQ(memo.size(), 1u);
+
+  core::VerifyOptions opts = req.options();
+  opts.satMemo = &memo;
+  Cnf cnf;
+  Proof proof;
+  opts.cnfOut = &cnf;
+  opts.proof = &proof;
+  const core::VerifyReport rep = core::verify(req, opts);
+  ASSERT_EQ(rep.verdict(), core::Verdict::Correct);
+  EXPECT_EQ(memo.hits(), 0u);
+  EXPECT_GT(cnf.numVars, 0u);
+  EXPECT_TRUE(checkRup(cnf, proof));
 }
 
 }  // namespace

@@ -2,10 +2,9 @@
 // individually and composed — must preserve satisfiability (cross-checked
 // against the untouched solver, brute force, and the BDD engine), Sat
 // models of the simplified CNF must reconstruct to models of the ORIGINAL
-// CNF, frozen variables must keep assumption-conditional
-// equisatisfiability, and the checked-in fuzz corpus must decode
-// identically with the front end on and off. The simplifier's exact output
-// on the benchmark's SAT cells is pinned.
+// CNF, frozen variables must keep conditional equisatisfiability, and the
+// checked-in fuzz corpus must decode identically with the front end on and
+// off. The simplifier's exact output on the benchmark's SAT cells is pinned.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -265,7 +264,7 @@ TEST(Inprocess, OutputContainsNoTautology) {
   EXPECT_EQ(countTautologies(sr.cnf), 0u) << "48x48 pipeline CNF";
 }
 
-// ---- frozen variables: assumption-conditional equisatisfiability ------------
+// ---- frozen variables: conditional equisatisfiability -----------------------
 
 TEST(Inprocess, FrozenVariablesKeepConditionalEquisat) {
   Rng rng(5150);

@@ -1,7 +1,7 @@
 // Tests for the work-stealing thread pool: result delivery, ordering
 // independence, exception propagation, and cooperative cancellation of
-// queued tasks (the properties the parallel grid runner and the SAT seed
-// portfolio depend on).
+// queued tasks (the properties the parallel grid runner and the intra-cell
+// stages depend on).
 #include <gtest/gtest.h>
 
 #include <atomic>

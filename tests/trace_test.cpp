@@ -85,7 +85,7 @@ TEST(Trace, ReattachingSameCollectorKeepsThreadIdentity) {
   Use outer(&c);
   TRACE_SPAN("parent");
   {
-    // The k=1 portfolio path: re-attach the already-active collector on the
+    // A task run inline: re-attach the already-active collector on the
     // same thread. Nesting must continue, not restart on a fresh tid.
     Use inner(&c);
     TRACE_SPAN("child");

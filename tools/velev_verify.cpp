@@ -19,9 +19,10 @@
 //                     (after rewriting, any ROB size at one width) replay
 //                     one solve with unchanged verdicts and counters
 //                     (off under --mem-budget)
-//   --jobs N          parallelism (default 1). Grid mode: worker threads,
-//                     one (N, k) cell per task. Single mode: SAT seed
-//                     portfolio of N racing solver instances.
+//   --jobs N          grid mode: worker threads, one (N, k) cell per task
+//                     (default 1). A single run is one cell: --jobs N > 1
+//                     without --grid is a usage error; --cell-jobs
+//                     parallelises one cell
 //   --cell-jobs N     intra-cell parallelism (default 1): shard the rewrite
 //                     slice checks and the CNF build (Tseitin + one
 //                     transitivity component per worker) across N threads
@@ -61,7 +62,8 @@
 //                     substitution) — the pre-simplification baseline, used
 //                     by the benches' before/after comparison
 //   --no-coi          disable the cone-of-influence simulator optimization
-//   --dump-cnf FILE   write the correctness CNF in DIMACS format
+//   --dump-cnf FILE   write the correctness CNF in DIMACS format (Tseitin
+//                     then runs under --engine bdd too)
 //   --proof FILE      log a DRAT proof and self-check it on UNSAT
 //   --json FILE       write a machine-readable report (same schema as the
 //                     benches' BENCH_<name>.json)
@@ -84,9 +86,16 @@
 //                     their statistics in the --trace manifests instead)
 //   --quiet           print only the verdict line(s)
 //
+// Single mode and every grid cell run one pipeline, core::verify (the one
+// velev_serve runs too), so a single run answers exactly what the same cell
+// answers under --grid: verdict, reason and the full counter block. Each
+// request is checked by VerifyRequest::validate() first; an invalid cell
+// (width > size, a bug slice out of range) is a usage error.
+//
 // Exit code (core::verdictExitCode — one mapping shared with the benches
-// and cli_test): 0 correct, 1 bug found / mismatch, 2 usage error,
-// 3 inconclusive/skipped, 4 timeout/memout. Grid mode aggregates by
+// and cli_test): 0 correct, 1 bug found / mismatch, 2 usage error (also a
+// failed --proof self-check or an engine disagreement under --engine
+// both), 3 inconclusive/skipped, 4 timeout/memout. Grid mode aggregates by
 // severity: any bug -> 1, else any timeout/memout -> 4, else any
 // inconclusive/skipped -> 3, else 0.
 #include <algorithm>
@@ -167,8 +176,6 @@ std::vector<core::GridCell> parseGridSpec(const std::string& spec) {
     core::GridCell c;
     c.robSize = static_cast<unsigned>(std::atoi(part.c_str()));
     c.issueWidth = static_cast<unsigned>(std::atoi(part.c_str() + x + 1));
-    if (c.issueWidth < 1 || c.issueWidth > c.robSize)
-      usage(("impossible cell (need 1 <= width <= size): " + part).c_str());
     cells.push_back(c);
     if (comma == std::string::npos) break;
     pos = comma + 1;
@@ -319,6 +326,85 @@ int runConnectMode(const char* endpoint,
   return worst;
 }
 
+/// verifyWith() fills a stage's statistics only when the stage returns, so
+/// a budget trip or a rewrite mismatch leaves the later stages' at zero.
+bool translated(const core::VerifyReport& rep) {
+  return rep.evcStats.cnfVars > 0;
+}
+
+/// Single-run progress lines, printed from the finished report: one per
+/// stage that completed.
+void printStageLines(const core::VerifyReport& rep, bool emittedCnf) {
+  const core::StageSeconds& s = rep.outcome.seconds;
+  if (rep.simStats.cycles > 0)
+    std::printf("simulated commutative diagram in %.3f s (%llu signal "
+                "evaluations)\n",
+                s.sim,
+                static_cast<unsigned long long>(rep.simStats.signalEvals));
+  if (rep.rewriteStats.slicesChecked > 0 &&
+      rep.verdict() != core::Verdict::RewriteMismatch)
+    std::printf("rewriting rules removed %u updates in %.3f s\n",
+                rep.updatesRemoved, s.rewrite);
+  if (!translated(rep)) return;
+  const evc::TranslationStats& ev = rep.evcStats;
+  if (emittedCnf)
+    std::printf("translated to CNF in %.3f s: %zu vars, %zu clauses, "
+                "%u e_ij variables\n",
+                s.translate, ev.cnfVars, ev.cnfClauses, ev.eijVars);
+  else
+    std::printf("translated in %.3f s: %u propositional inputs, "
+                "%u transitivity clauses, %u e_ij variables\n",
+                s.translate, ev.totalPrimaryVars(), ev.transitivity.clauses,
+                ev.eijVars);
+  if (rep.engine != core::Engine::Sat)
+    std::printf("bdd: %llu peak nodes, %llu reorderings, %llu/%llu cache "
+                "hits\n",
+                static_cast<unsigned long long>(rep.bddStats.nodesPeak),
+                static_cast<unsigned long long>(rep.bddStats.reorderings),
+                static_cast<unsigned long long>(rep.bddStats.cacheHits),
+                static_cast<unsigned long long>(rep.bddStats.cacheLookups));
+}
+
+void printVerdictLine(const core::VerifyReport& rep, double wallSeconds) {
+  const core::StageSeconds& s = rep.outcome.seconds;
+  const core::Verdict v = rep.verdict();
+  const std::string& reason = rep.outcome.reason;
+  // Under `both` the engines' verdicts were cross-checked by verifyWith(),
+  // which throws on a conclusive disagreement.
+  if (rep.engine == core::Engine::Both && translated(rep)) {
+    std::printf("verdict: %s (cross-checked)\n", core::verdictName(v));
+    return;
+  }
+  const bool bdd = rep.engine == core::Engine::Bdd;
+  switch (v) {
+    case core::Verdict::Correct:
+      std::printf("verdict: CORRECT (%s in %.3f s)\n",
+                  bdd ? "BDD reduced to false" : "UNSAT", bdd ? s.bdd : s.sat);
+      break;
+    case core::Verdict::CounterexampleFound:
+      std::printf("verdict: COUNTEREXAMPLE FOUND (%s in %.3f s)\n",
+                  bdd ? "satisfying path" : "SAT", bdd ? s.bdd : s.sat);
+      break;
+    case core::Verdict::RewriteMismatch:
+      std::printf("verdict: NON-CONFORMING SLICE %u (%s) after %.3f s\n",
+                  rep.outcome.failedSlice, reason.c_str(), s.rewrite);
+      break;
+    case core::Verdict::Inconclusive:
+      std::printf("verdict: INCONCLUSIVE (%s after %.3f s)\n", reason.c_str(),
+                  s.sat);
+      break;
+    case core::Verdict::Timeout:
+    case core::Verdict::MemOut:
+      std::printf("verdict: %s (%s after %.3f s)\n",
+                  v == core::Verdict::MemOut ? "OUT OF MEMORY" : "TIMEOUT",
+                  reason.c_str(), wallSeconds);
+      break;
+    case core::Verdict::Skipped:
+      std::printf("verdict: SKIPPED\n");
+      break;
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -402,9 +488,19 @@ int main(int argc, char** argv) {
   if (cacheDir && !gridSpec)
     usage("--cache-dir applies to grid mode only (a single run has no "
           "cells to record)");
+  if (jobs > 1 && !gridSpec)
+    usage("--jobs applies to grid mode; --cell-jobs parallelises one cell");
+  if (gridSpec && (dumpCnf || proofPath))
+    usage("--dump-cnf/--proof apply to single-configuration runs only");
+  if (connectEndpoint &&
+      (dumpCnf || proofPath || traceDir || stats || cacheDir ||
+       cellJobs > 1 || fallback != core::FallbackPolicy::None))
+    usage("--connect ships requests to a velev_serve daemon; "
+          "--dump-cnf/--proof/--trace/--stats/--fallback/"
+          "--cache-dir/--cell-jobs are local-run features");
 
   // The one serializable request the whole flag set folds into; grid mode
-  // stamps sizes × widths onto copies of it, --connect ships it as-is.
+  // stamps sizes × widths onto copies of it, --connect ships them as-is.
   core::VerifyRequest base;
   base.robSize = size;
   base.issueWidth = width;
@@ -418,392 +514,99 @@ int main(int argc, char** argv) {
   base.memoryBudgetBytes = budget.memoryBytes;
   base.satConflictBudget = budget.satConflicts;
 
-  try {
-  if (connectEndpoint) {
-    if (dumpCnf || proofPath || traceDir || stats || cacheDir ||
-        cellJobs > 1 || fallback != core::FallbackPolicy::None)
-      usage("--connect ships requests to a velev_serve daemon; "
-            "--dump-cnf/--proof/--trace/--stats/--fallback/"
-            "--cache-dir/--cell-jobs are local-run features");
-    std::vector<core::VerifyRequest> requests;
-    if (gridSpec) {
-      for (const core::GridCell& c : parseGridSpec(gridSpec)) {
-        core::VerifyRequest r = base;
-        r.robSize = c.robSize;
-        r.issueWidth = c.issueWidth;
-        requests.push_back(r);
-      }
-    } else {
-      if (width < 1 || width > size) usage("need 1 <= width <= size");
-      requests.push_back(base);
-    }
-    return runConnectMode(connectEndpoint, std::move(requests),
-                          gridSpec ? "grid" : "single", jsonPath, quiet);
-  }
-
+  std::vector<core::VerifyRequest> requests;
   if (gridSpec) {
-    if (dumpCnf || proofPath)
-      usage("--dump-cnf/--proof apply to single-configuration runs only");
-    core::GridRunOptions gopts;
-    gopts.jobs = jobs;
-    gopts.cellJobs = cellJobs;
-    gopts.fallback = fallback;
-    if (traceDir) gopts.traceDir = traceDir;
-    if (cacheDir) gopts.cacheDir = cacheDir;
-    if (stats)
-      std::fprintf(stderr, "note: --stats is a single-run view; grid cells "
-                           "record their statistics in the --trace "
-                           "manifests\n");
-    std::vector<core::VerifyRequest> requests;
     for (const core::GridCell& c : parseGridSpec(gridSpec)) {
       core::VerifyRequest r = base;
       r.robSize = c.robSize;
       r.issueWidth = c.issueWidth;
       requests.push_back(r);
     }
-    return runGridMode(requests, gopts, jsonPath, quiet);
+  } else {
+    requests.push_back(base);
   }
-
-  if (width < 1 || width > size) usage("need 1 <= width <= size");
-
-  // The whole single-configuration pipeline runs under one governor; a
-  // budget exhausted anywhere unwinds to the handler at the bottom and
-  // degrades into a timeout/memout verdict.
-  BudgetGovernor gov(budget);
-
-  // --cell-jobs: worker pool for the rewrite slice checks and the CNF
-  // build. Output is identical to the sequential path for any pool size.
-  std::unique_ptr<ThreadPool> cellPool;
-  if (cellJobs > 1) cellPool = std::make_unique<ThreadPool>(cellJobs);
-
-  // Observability: one Collector for the whole run when --trace or --stats
-  // asked for it, attached thread-locally so every pipeline layer below
-  // (and the portfolio's workers) records into it.
-  trace::Collector collector;
-  const bool collecting = traceDir != nullptr || stats;
-  trace::Use tracing(collecting ? &collector : nullptr);
-
-  // Declared before finishJson so the closing accounting can scan the DAG
-  // and read the portfolio's per-instance statistics.
-  eufm::Context cx;
-  cx.setBudget(&gov);
-  sat::PortfolioReport prep;
-
-  // The run's report, flattened at the end into the same VerifyResponse a
-  // grid cell or a served answer carries (--json and the manifest read it).
-  Timer total;
-  core::VerifyReport rep;
-  rep.engine = engine;
-  auto finishJson = [&](core::Verdict v) {
-    rep.outcome.verdict = v;
-    // max, not assign: under --engine both the BDD side already recorded
-    // its sibling governor's peak.
-    rep.outcome.peakArenaBytes =
-        std::max(rep.outcome.peakArenaBytes, gov.peakArenaBytes());
-    rep.outcome.rssHighWaterKb = rssHighWaterKb();
-    rep.cxStats = core::scanContext(cx);
-    core::GridCellResult cellOut;
-    cellOut.cell = core::GridCell{size, width, bug};
-    cellOut.wallSeconds = total.seconds();
-    cellOut.response =
-        core::VerifyResponse::fromReport(base, rep, cellOut.wallSeconds);
-    if (jsonPath)
-      writeJsonReport(jsonPath, "single", jobs, {core::makeReportCell(cellOut)},
-                      total.seconds());
-    if (collecting) {
-      // Publish the canonical counter block plus the per-seed SAT effort
-      // on the collector: the manifest merges the collector's counters, and
-      // --stats prints them under the stage tree.
-      for (const auto& [name, value] : cellOut.response.counters)
-        collector.setCounter(name, value);
-      for (std::size_t s = 0; s < prep.instanceStats.size(); ++s) {
-        const std::string p = "sat.seed" + std::to_string(s) + ".";
-        const sat::Stats& st = prep.instanceStats[s];
-        collector.setCounter(p + "decisions", st.decisions);
-        collector.setCounter(p + "propagations", st.propagations);
-        collector.setCounter(p + "conflicts", st.conflicts);
-        collector.setCounter(p + "restarts", st.restarts);
-      }
-      if (prep.winner >= 0) {
-        collector.setCounter("sat.winner",
-                             static_cast<std::uint64_t>(prep.winner));
-        collector.setCounter("sat.winner_seed", prep.winnerSeed);
-      }
-      if (stats) collector.writeStageTree(std::cerr);
-      if (traceDir) {
-        std::filesystem::create_directories(traceDir);
-        const std::string dir = traceDir;
-        if (std::ofstream os(dir + "/trace.json"); os)
-          collector.writeChromeTrace(os);
-        if (std::ofstream os(dir + "/manifest.json"); os)
-          trace::writeManifest(os, core::cellManifestData(cellOut, base),
-                               &collector);
-        if (!quiet)
-          std::printf("trace: wrote %s/trace.json and %s/manifest.json\n",
-                      traceDir, traceDir);
-      }
-    }
-    return core::verdictExitCode(v);
-  };
+  for (const core::VerifyRequest& r : requests)
+    if (const std::optional<std::string> err = r.validate())
+      usage(("cell " + std::to_string(r.robSize) + "x" +
+             std::to_string(r.issueWidth) + ": " + *err)
+                .c_str());
 
   try {
-  // Build + simulate.
-  const models::Isa isa = models::Isa::declare(cx);
-  const models::OoOConfig cfg{size, width};
-  auto impl = models::buildOoO(cx, isa, cfg, bug);
-  auto spec = models::buildSpec(cx, isa);
-  tlsim::SimOptions simOpts;
-  simOpts.coneOfInfluence = coi;
-  Timer t;
-  const core::Diagram d = [&] {
-    TRACE_SPAN("verify.sim");
-    return core::buildDiagram(cx, *impl, *spec, simOpts);
-  }();
-  const double simSec = t.seconds();
-  rep.simStats = d.implSimStats;
-  rep.outcome.seconds.sim = simSec;
-  if (!quiet)
-    std::printf("simulated commutative diagram in %.3f s (%llu signal "
-                "evaluations)\n",
-                simSec,
-                static_cast<unsigned long long>(
-                    d.implSimStats.signalEvals + d.flushSimStats.signalEvals));
+    if (connectEndpoint)
+      return runConnectMode(connectEndpoint, std::move(requests),
+                            gridSpec ? "grid" : "single", jsonPath, quiet);
 
-  // Rewriting rules (unless PE-only).
-  eufm::Expr correctness = d.correctness;
-  evc::TranslateOptions topts;
-  if (!peOnly) {
-    t.reset();
-    const rewrite::RewriteResult rw = [&] {
-      TRACE_SPAN("verify.rewrite");
-      return rewrite::rewriteRobUpdates(cx, isa, impl->init, cfg,
-                                        d.implRegFile, d.specRegFile,
-                                        cellPool.get());
-    }();
-    rep.rewriteStats = rw.stats;
-    rep.outcome.seconds.rewrite = t.seconds();
-    if (!rw.ok) {
-      std::printf("verdict: NON-CONFORMING SLICE %u (%s) after %.3f s\n",
-                  rw.failedSlice, rw.message.c_str(), t.seconds());
-      rep.outcome.failedSlice = rw.failedSlice;
-      rep.outcome.reason = rw.message;
-      return finishJson(core::Verdict::RewriteMismatch);
+    if (gridSpec) {
+      core::GridRunOptions gopts;
+      gopts.jobs = jobs;
+      gopts.cellJobs = cellJobs;
+      gopts.fallback = fallback;
+      if (traceDir) gopts.traceDir = traceDir;
+      if (cacheDir) gopts.cacheDir = cacheDir;
+      if (stats)
+        std::fprintf(stderr, "note: --stats is a single-run view; grid cells "
+                             "record their statistics in the --trace "
+                             "manifests\n");
+      return runGridMode(requests, gopts, jsonPath, quiet);
     }
-    rep.updatesRemoved = rw.updatesRemoved;
+
+    // Single mode: the cell's own options plus the run-local outputs.
+    core::VerifyOptions vopts = base.options();
+    vopts.jobs = cellJobs;
+    prop::Cnf cnf;
+    sat::Proof proof;
+    if (dumpCnf || proofPath) vopts.cnfOut = &cnf;
+    if (proofPath) vopts.proof = &proof;
+
+    // One Collector for the whole run when --trace or --stats asked for
+    // it; verifyWith() publishes the counter block on it.
+    trace::Collector collector;
+    const bool collecting = traceDir != nullptr || stats;
+    trace::Use tracing(collecting ? &collector : nullptr);
+
+    Timer total;
+    const core::VerifyReport rep = core::verify(base, vopts);
+    const double wall = total.seconds();
+
     if (!quiet)
-      std::printf("rewriting rules removed %u updates in %.3f s\n",
-                  rw.updatesRemoved, t.seconds());
-    eufm::Expr c = cx.mkFalse();
-    for (unsigned m = 0; m < d.specPc.size(); ++m)
-      c = cx.mkOr(c, cx.mkAnd(cx.mkEq(d.implPc, d.specPc[m]),
-                              cx.mkEq(rw.implRegFile, rw.specRegFile[m])));
-    correctness = c;
-    topts.conservativeMemory = true;
-  }
-
-  // Translate. The pure-BDD engine skips Tseitin entirely (the CNF then
-  // carries only the transitivity constraints) — unless --dump-cnf still
-  // wants the DIMACS file.
-  topts.emitCnf = engine != core::Engine::Bdd || dumpCnf != nullptr;
-  topts.pool = cellPool.get();
-  t.reset();
-  const evc::Translation tr = [&] {
-    TRACE_SPAN("verify.translate");
-    return evc::translate(cx, correctness, topts);
-  }();
-  rep.evcStats = tr.stats;
-  rep.outcome.seconds.translate = t.seconds();
-  if (!quiet) {
-    if (topts.emitCnf)
-      std::printf("translated to CNF in %.3f s: %u vars, %zu clauses, "
-                  "%u e_ij variables\n",
-                  t.seconds(), tr.cnf.numVars, tr.cnf.numClauses(),
-                  tr.stats.eijVars);
-    else
-      std::printf("translated in %.3f s: %u propositional inputs, "
-                  "%u transitivity clauses, %u e_ij variables\n",
-                  t.seconds(), tr.pctx->numVars(),
-                  tr.stats.transitivity.clauses, tr.stats.eijVars);
-  }
-  if (dumpCnf) {
-    std::ofstream out(dumpCnf);
-    prop::writeDimacs(tr.cnf, out);
-    if (!quiet) std::printf("wrote DIMACS to %s\n", dumpCnf);
-  }
-
-  // Solve with the selected engine(s). Under --engine both each engine's
-  // verdict line carries an engine prefix and the final "verdict:" line is
-  // the cross-checked result; for a single engine the historical output
-  // format is unchanged.
-  struct SideVerdict {
-    core::Verdict v = core::Verdict::Inconclusive;
-    std::string reason;
-    bool conclusive() const {
-      return v == core::Verdict::Correct ||
-             v == core::Verdict::CounterexampleFound;
+      printStageLines(rep,
+                      engine != core::Engine::Bdd || vopts.cnfOut != nullptr);
+    if (dumpCnf && translated(rep)) {
+      std::ofstream out(dumpCnf);
+      prop::writeDimacs(cnf, out);
+      if (!quiet) std::printf("wrote DIMACS to %s\n", dumpCnf);
     }
-  };
-  std::optional<SideVerdict> satSide, bddSide;
-  const bool both = engine == core::Engine::Both;
+    if (proofPath && rep.outcome.satResult == sat::Result::Unsat) {
+      const bool certified = sat::checkRup(cnf, proof);
+      std::ofstream out(proofPath);
+      sat::writeDrat(proof, out);
+      std::printf("proof: %zu steps, self-check %s, written to %s\n",
+                  proof.size(), certified ? "PASSED" : "FAILED", proofPath);
+      if (!certified) return 2;
+    }
+    printVerdictLine(rep, wall);
 
-  if (engine != core::Engine::Bdd) {
-    // SAT — with a seed portfolio of `jobs` racing instances when jobs > 1.
-    const char* label = both ? "sat verdict" : "verdict";
-    sat::PortfolioOptions popts;
-    popts.instances = jobs;
-    popts.conflictBudget = budget.satConflicts;
-    popts.wantProof = proofPath != nullptr;
-    popts.budget = &gov;
-    popts.inprocess = base.options().inprocess;
-    t.reset();
-    const sat::Result r = [&] {
-      TRACE_SPAN("verify.sat");
-      return sat::solvePortfolio(tr.cnf, popts, &prep);
-    }();
-    const double satSec = t.seconds();
-    rep.satStats = prep.winnerStats;
-    rep.inprocessed = popts.inprocess.enabled;
-    rep.inprocessStats = prep.inprocessStats;
-    rep.outcome.satResult = r;
-    rep.outcome.seconds.sat = satSec;
-    if (!quiet && jobs > 1)
-      std::printf("portfolio: %u instances, instance %d (seed %llu) won\n",
-                  jobs, prep.winner,
-                  static_cast<unsigned long long>(prep.winnerSeed));
-    SideVerdict s;
-    switch (r) {
-      case sat::Result::Unsat:
-        if (proofPath) {
-          const bool certified = sat::checkRup(tr.cnf, prep.proof);
-          std::ofstream out(proofPath);
-          sat::writeDrat(prep.proof, out);
-          std::printf("proof: %zu steps, self-check %s, written to %s\n",
-                      prep.proof.size(), certified ? "PASSED" : "FAILED",
-                      proofPath);
-          if (!certified) return 2;
-        }
-        std::printf("%s: CORRECT (UNSAT in %.3f s)\n", label, satSec);
-        s.v = core::Verdict::Correct;
-        break;
-      case sat::Result::Sat:
-        std::printf("%s: COUNTEREXAMPLE FOUND (SAT in %.3f s)\n", label,
-                    satSec);
-        s.v = core::Verdict::CounterexampleFound;
-        break;
-      default:
-        if (gov.exceeded()) {
-          const bool mem = gov.exceededKind() == BudgetKind::Memory;
-          std::printf("%s: %s (%s after %.3f s)\n", label,
-                      mem ? "OUT OF MEMORY" : "TIMEOUT",
-                      gov.exceededReason().c_str(), satSec);
-          s.v = mem ? core::Verdict::MemOut : core::Verdict::Timeout;
-          s.reason = gov.exceededReason();
-        } else {
-          std::printf("%s: INCONCLUSIVE (budget exhausted after %.3f s)\n",
-                      label, satSec);
-          s.v = core::Verdict::Inconclusive;
-        }
-        break;
+    core::GridCellResult cell;
+    cell.cell = core::GridCell{size, width, bug};
+    cell.wallSeconds = wall;
+    cell.response = core::VerifyResponse::fromReport(base, rep, wall);
+    if (jsonPath)
+      writeJsonReport(jsonPath, "single", jobs, {core::makeReportCell(cell)},
+                      wall);
+    if (stats) collector.writeStageTree(std::cerr);
+    if (traceDir) {
+      std::filesystem::create_directories(traceDir);
+      const std::string dir = traceDir;
+      if (std::ofstream os(dir + "/trace.json"); os)
+        collector.writeChromeTrace(os);
+      if (std::ofstream os(dir + "/manifest.json"); os)
+        trace::writeManifest(os, core::cellManifestData(cell, base),
+                             &collector);
+      if (!quiet)
+        std::printf("trace: wrote %s/trace.json and %s/manifest.json\n",
+                    traceDir, traceDir);
     }
-    satSide = s;
-    if (engine == core::Engine::Sat) {
-      rep.outcome.reason = s.reason;
-      return finishJson(s.v);
-    }
-  }
-
-  {
-    // BDD. Under `both` it runs on a sibling governor armed from the same
-    // budget, so a SAT-side exhaustion never starves it (and vice versa).
-    const char* label = both ? "bdd verdict" : "verdict";
-    BudgetGovernor sibling(budget);
-    BudgetGovernor& bddGov = both ? sibling : gov;
-    bdd::CheckOptions copts;
-    copts.governor = &bddGov;
-    t.reset();
-    const bdd::CheckResult res = [&] {
-      TRACE_SPAN("verify.bdd");
-      return bdd::checkValidity(*tr.pctx, tr.validityRoot,
-                                tr.transitivityClauses(), copts);
-    }();
-    const double bddSec = t.seconds();
-    rep.bddStats = res.stats;
-    rep.outcome.seconds.bdd = bddSec;
-    rep.outcome.peakArenaBytes = std::max(
-        rep.outcome.peakArenaBytes, bddGov.peakArenaBytes());
-    if (!quiet)
-      std::printf("bdd: %llu peak nodes, %llu reorderings, %llu/%llu cache "
-                  "hits\n",
-                  static_cast<unsigned long long>(res.stats.nodesPeak),
-                  static_cast<unsigned long long>(res.stats.reorderings),
-                  static_cast<unsigned long long>(res.stats.cacheHits),
-                  static_cast<unsigned long long>(res.stats.cacheLookups));
-    SideVerdict s;
-    switch (res.status) {
-      case bdd::CheckStatus::Valid:
-        std::printf("%s: CORRECT (BDD reduced to false in %.3f s)\n", label,
-                    bddSec);
-        s.v = core::Verdict::Correct;
-        break;
-      case bdd::CheckStatus::Falsifiable: {
-        std::printf("%s: COUNTEREXAMPLE FOUND (satisfying path in %.3f s)\n",
-                    label, bddSec);
-        s.v = core::Verdict::CounterexampleFound;
-        // Decode the path through the same inverse the fuzzer uses. The
-        // concrete-replay half needs the PE translation of the original
-        // correctness formula, so it only runs on --strategy pe.
-        const fuzz::Counterexample cex = fuzz::decodeModel(
-            cx, tr, res.model, peOnly ? &d : nullptr,
-            peOnly ? impl.get() : nullptr);
-        if (!quiet) {
-          std::printf("counterexample: %zu control bits, %zu e_ij "
-                      "equalities, decode %s\n",
-                      cex.bools.size(), cex.eijs.size(),
-                      cex.transitive && cex.falsifiesUfRoot ? "consistent"
-                                                            : "INCONSISTENT");
-          if (!cex.prettySlice.empty())
-            std::printf("%s\n", cex.prettySlice.c_str());
-        }
-        break;
-      }
-      case bdd::CheckStatus::Unknown: {
-        const bool mem = res.tripKind == BudgetKind::Memory;
-        std::printf("%s: %s (%s after %.3f s)\n", label,
-                    mem ? "OUT OF MEMORY" : "TIMEOUT", res.reason.c_str(),
-                    bddSec);
-        s.v = mem ? core::Verdict::MemOut : core::Verdict::Timeout;
-        s.reason = res.reason;
-        break;
-      }
-    }
-    bddSide = s;
-    if (engine == core::Engine::Bdd) {
-      rep.outcome.reason = s.reason;
-      return finishJson(s.v);
-    }
-  }
-
-  // --engine both: cross-check, then report the stronger side.
-  if (satSide->conclusive() && bddSide->conclusive() &&
-      satSide->v != bddSide->v) {
-    std::fprintf(stderr,
-                 "error: engine disagreement: SAT says %s but BDD says %s\n",
-                 core::verdictName(satSide->v), core::verdictName(bddSide->v));
-    return 2;
-  }
-  const SideVerdict chosen = satSide->conclusive()   ? *satSide
-                             : bddSide->conclusive() ? *bddSide
-                                                     : *satSide;
-  std::printf("verdict: %s (cross-checked)\n", core::verdictName(chosen.v));
-  rep.outcome.reason = chosen.reason;
-  return finishJson(chosen.v);
-  } catch (const BudgetExceeded& e) {
-    const bool mem = e.kind() == BudgetKind::Memory;
-    std::printf("verdict: %s (%s after %.3f s)\n",
-                mem ? "OUT OF MEMORY" : "TIMEOUT", e.what(), total.seconds());
-    rep.outcome.reason = e.what();
-    return finishJson(mem ? core::Verdict::MemOut : core::Verdict::Timeout);
-  }
+    return core::verdictExitCode(rep.verdict());
   } catch (const InternalError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
