@@ -46,16 +46,36 @@ BENCHMARK(BM_EufmDedup);
 
 void BM_SymbolicSimulation(benchmark::State& state) {
   const unsigned n = static_cast<unsigned>(state.range(0));
+  const unsigned k = static_cast<unsigned>(state.range(1));
   for (auto _ : state) {
     eufm::Context cx;
     const models::Isa isa = models::Isa::declare(cx);
-    auto impl = models::buildOoO(cx, isa, {n, 4});
+    auto impl = models::buildOoO(cx, isa, {n, k});
     auto spec = models::buildSpec(cx, isa);
     const core::Diagram d = core::buildDiagram(cx, *impl, *spec);
     benchmark::DoNotOptimize(d.correctness);
   }
 }
-BENCHMARK(BM_SymbolicSimulation)->Arg(8)->Arg(32)->Arg(64);
+// N x k (model build included); 400 x 48 is the rob_scale benchmark cell.
+BENCHMARK(BM_SymbolicSimulation)
+    ->Args({8, 4})
+    ->Args({32, 4})
+    ->Args({64, 4})
+    ->Args({400, 48})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_BuildOoO(benchmark::State& state) {
+  // The netlist build alone, without simulation.
+  const unsigned n = static_cast<unsigned>(state.range(0));
+  const unsigned k = static_cast<unsigned>(state.range(1));
+  for (auto _ : state) {
+    eufm::Context cx;
+    const models::Isa isa = models::Isa::declare(cx);
+    auto impl = models::buildOoO(cx, isa, {n, k});
+    benchmark::DoNotOptimize(impl->netlist.numSignals());
+  }
+}
+BENCHMARK(BM_BuildOoO)->Args({400, 48})->Unit(benchmark::kMillisecond);
 
 void BM_RewriteEngine(benchmark::State& state) {
   const unsigned n = static_cast<unsigned>(state.range(0));

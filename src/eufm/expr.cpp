@@ -31,6 +31,7 @@ bool Context::nodeEquals(Expr e, Kind k, std::uint32_t sym,
 
 Expr Context::find(Kind k, std::uint32_t sym,
                    std::span<const Expr> args) const {
+  if (hasUnusedArg(args)) return kNoExpr;
   const std::uint64_t mask = table_.size() - 1;
   std::uint64_t slot = nodeHash(k, sym, args) & mask;
   while (table_[slot] != kNoExpr) {
@@ -41,11 +42,11 @@ Expr Context::find(Kind k, std::uint32_t sym,
 }
 
 void Context::growTable() {
-  std::vector<Expr> old = std::move(table_);
-  table_.assign(old.size() * 2, kNoExpr);
+  // Every node is in the table exactly once: re-insert in id order, so the
+  // node arena and the argument pool are read front to back.
+  table_.assign(table_.size() * 2, kNoExpr);
   const std::uint64_t mask = table_.size() - 1;
-  for (Expr e : old) {
-    if (e == kNoExpr) continue;
+  for (Expr e = 0; e < nodes_.size(); ++e) {
     const Node& n = nodes_[e];
     std::uint64_t h = nodeHash(n.kind, n.sym,
                                {argPool_.data() + n.argsOfs, n.nargs});
@@ -70,9 +71,15 @@ Expr Context::intern(Kind k, std::uint32_t sym, std::span<const Expr> args) {
   if (tableCount_ * 10 >= table_.size() * 7) growTable();
   const std::uint64_t mask = table_.size() - 1;
   std::uint64_t slot = nodeHash(k, sym, args) & mask;
-  while (table_[slot] != kNoExpr) {
-    if (nodeEquals(table_[slot], k, sym, args)) return table_[slot];
-    slot = (slot + 1) & mask;
+  if (hasUnusedArg(args)) {
+    // A certain miss (most nodes symbolic simulation builds): walk to the
+    // first empty slot without loading the nodes on the way.
+    while (table_[slot] != kNoExpr) slot = (slot + 1) & mask;
+  } else {
+    while (table_[slot] != kNoExpr) {
+      if (nodeEquals(table_[slot], k, sym, args)) return table_[slot];
+      slot = (slot + 1) & mask;
+    }
   }
   const Expr id = static_cast<Expr>(nodes_.size());
   Node n;
@@ -80,6 +87,8 @@ Expr Context::intern(Kind k, std::uint32_t sym, std::span<const Expr> args) {
   n.nargs = static_cast<std::uint8_t>(args.size());
   n.sym = sym;
   n.argsOfs = static_cast<std::uint32_t>(argPool_.size());
+  // Mark before the insert: `args` may point into argPool_ itself.
+  for (Expr a : args) nodes_[a].used = 1;
   argPool_.insert(argPool_.end(), args.begin(), args.end());
   nodes_.push_back(n);
   table_[slot] = id;
@@ -114,6 +123,9 @@ Expr Context::freshTermVar(std::string_view prefix) {
 }
 
 FuncId Context::declare(std::string_view name, unsigned arity, bool pred) {
+  VELEV_CHECK_MSG(arity <= kMaxArity, "symbol " << name << " has arity "
+                                                 << arity << " above "
+                                                 << kMaxArity);
   auto it = funcIds_.find(std::string(name));
   if (it != funcIds_.end()) {
     const FuncInfo& fi = funcs_[it->second];

@@ -67,12 +67,23 @@ constexpr Sort sortOf(Kind k) {
   return k >= Kind::TermVar ? Sort::Term : Sort::Formula;
 }
 
+/// Arity limit of one node (`nargs` is one byte); declare() enforces it.
+constexpr unsigned kMaxArity = 255;
+
 struct Node {
   Kind kind;
   std::uint8_t nargs;
+  // Set once some node of the same Context takes this node as an argument
+  // (a ShadowContext leaves it unset on its local nodes).
+  // A node with an argument that no other node uses cannot already exist,
+  // so the hash-cons probe skips comparing it against occupied slots.
+  std::uint8_t used = 0;
   std::uint32_t sym;      // name id (vars) or FuncId (Uf/Up); else kNoSym
   std::uint32_t argsOfs;  // offset into the Context argument pool
 };
+// `used` sits in padding: memoryBytes() and the arena budget count Nodes
+// at this size.
+static_assert(sizeof(Node) == 12);
 constexpr std::uint32_t kNoSym = 0xffffffffu;
 
 struct FuncInfo {
@@ -103,7 +114,7 @@ class Context {
 
   // ---- Uninterpreted functions / predicates -------------------------------
   /// Declare (or retrieve) a function symbol. Redeclaration with a different
-  /// arity or kind is an error.
+  /// arity or kind is an error, and so is an arity above kMaxArity.
   FuncId declareFunc(std::string_view name, unsigned arity);
   FuncId declarePred(std::string_view name, unsigned arity);
   const FuncInfo& func(FuncId f) const { return funcs_[f]; }
@@ -158,7 +169,8 @@ class Context {
   /// if this context already owns one, else kNoExpr. Never interns, never
   /// touches the budget — safe to call concurrently from many threads as
   /// long as nobody mutates the context (the ShadowContext overlay's
-  /// read-through path relies on exactly that freeze).
+  /// read-through path relies on exactly that freeze). An argument that no
+  /// node uses yet answers kNoExpr without probing.
   Expr find(Kind k, std::uint32_t sym, std::span<const Expr> args) const;
 
   // ---- Resource governance -------------------------------------------------
@@ -199,6 +211,13 @@ class Context {
                          std::span<const Expr> args) const;
   bool nodeEquals(Expr e, Kind k, std::uint32_t sym,
                   std::span<const Expr> args) const;
+  /// True when no node uses some argument yet: then no structurally equal
+  /// node can exist (Node::used).
+  bool hasUnusedArg(std::span<const Expr> args) const {
+    for (Expr a : args)
+      if (!nodes_[a].used) return true;
+    return false;
+  }
 
   std::vector<Node> nodes_;
   std::vector<Expr> argPool_;

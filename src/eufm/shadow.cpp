@@ -25,17 +25,16 @@ bool ShadowContext::localEquals(std::uint32_t localIdx, Kind k,
 }
 
 void ShadowContext::growTable() {
-  std::vector<Expr> old = std::move(table_);
-  table_.assign(old.size() * 2, kNoExpr);
+  // Re-insert in id order, as Context::growTable does.
+  table_.assign(table_.size() * 2, kNoExpr);
   const std::uint64_t mask = table_.size() - 1;
-  for (Expr e : old) {
-    if (e == kNoExpr) continue;
-    const Node& n = nodes_[e - baseN_];
+  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+    const Node& n = nodes_[i];
     std::uint64_t h = localHash(n.kind, n.sym,
                                 {argPool_.data() + n.argsOfs, n.nargs});
     std::uint64_t slot = h & mask;
     while (table_[slot] != kNoExpr) slot = (slot + 1) & mask;
-    table_[slot] = e;
+    table_[slot] = baseN_ + i;
   }
 }
 

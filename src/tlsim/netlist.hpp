@@ -12,10 +12,18 @@
 // Velev/Bryant flow (CHARME'99): high-level processor models built from
 // latches, memories, ITE-multiplexers, equality comparators and
 // uninterpreted functional blocks.
+//
+// Layout: a Signal is a fixed 20-byte record. All combinational fan-in lives
+// in one flat pool (`args(s)` is a span into it), and the names of latches
+// and inputs live in a side table that only diagnostics read, so building a
+// netlist allocates nothing per signal.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "eufm/expr.hpp"
@@ -43,12 +51,13 @@ enum class Op : std::uint8_t {
 struct Signal {
   Op op;
   eufm::Sort sort;
-  eufm::FuncId func = 0;            // Apply only
-  std::vector<SignalId> args;       // combinational fan-in
-  eufm::Expr fixed = eufm::kNoExpr; // Fixed: the expression; Latch: init state
-  SignalId next = kNoSignal;        // Latch only
-  std::string name;                 // latches & inputs (diagnostics)
+  std::uint8_t nargs = 0;            // fan-in count (Apply: <= eufm::kMaxArity)
+  eufm::FuncId func = 0;             // Apply only
+  std::uint32_t argsOfs = 0;         // fan-in offset into the netlist's pool
+  eufm::Expr fixed = eufm::kNoExpr;  // Fixed: the expression; Latch: init state
+  SignalId next = kNoSignal;         // Latch only
 };
+static_assert(sizeof(Signal) == 20);
 
 class Netlist {
  public:
@@ -92,6 +101,14 @@ class Netlist {
     VELEV_CHECK(s < signals_.size());
     return signals_[s];
   }
+  /// Combinational fan-in of `s`, in operand order (empty for sources).
+  std::span<const SignalId> args(SignalId s) const {
+    const Signal& sg = signal(s);
+    return {argPool_.data() + sg.argsOfs, sg.nargs};
+  }
+  /// Name of a latch or input; empty for every other signal. For
+  /// diagnostics: a binary search, not meant for hot loops.
+  std::string_view name(SignalId s) const;
   std::size_t numSignals() const { return signals_.size(); }
   const std::vector<SignalId>& latches() const { return latches_; }
   eufm::Sort sortOf(SignalId s) const { return signal(s).sort; }
@@ -100,10 +117,15 @@ class Netlist {
   void checkComplete() const;
 
  private:
-  SignalId add(Signal s);
+  SignalId add(Signal s, std::span<const SignalId> args = {});
+  SignalId comb(Op op, eufm::Sort sort, std::initializer_list<SignalId> args);
+  SignalId addNamed(Signal s, std::string name);
   eufm::Context& cx_;
   std::vector<Signal> signals_;
+  std::vector<SignalId> argPool_;  // all fan-in, in signal-creation order
   std::vector<SignalId> latches_;
+  // (signal, name) of every latch and input, in ascending signal order.
+  std::vector<std::pair<SignalId, std::string>> names_;
 };
 
 }  // namespace velev::tlsim

@@ -64,13 +64,14 @@ Expr Simulator::eval(SignalId root) {
       continue;
     }
     const Signal& sg = nl_.signal(sig);
+    const std::span<const SignalId> args = nl_.args(sig);
     switch (sg.op) {
       case Op::Fixed:
         finish(sig, sg.fixed);
         break;
       case Op::Input:
         VELEV_CHECK_MSG(inputVal_[sig] != kNoExpr,
-                        "input '" << sg.name << "' not driven");
+                        "input '" << nl_.name(sig) << "' not driven");
         finish(sig, inputVal_[sig]);
         break;
       case Op::Latch:
@@ -79,32 +80,32 @@ Expr Simulator::eval(SignalId root) {
       case Op::And:
       case Op::Or: {
         const Expr absorb = sg.op == Op::And ? cFalse : cTrue;
-        if (!ready(sg.args[0])) {
-          stack_.push_back(Frame{sg.args[0], 0});
+        if (!ready(args[0])) {
+          stack_.push_back(Frame{args[0], 0});
           break;
         }
-        const Expr v0 = memo_[sg.args[0]];
+        const Expr v0 = memo_[args[0]];
         if (coi && v0 == absorb) {
           finish(sig, absorb);
           break;
         }
-        if (!ready(sg.args[1])) {
-          stack_.push_back(Frame{sg.args[1], 0});
+        if (!ready(args[1])) {
+          stack_.push_back(Frame{args[1], 0});
           break;
         }
-        const Expr v1 = memo_[sg.args[1]];
+        const Expr v1 = memo_[args[1]];
         finish(sig, sg.op == Op::And ? cx_.mkAnd(v0, v1) : cx_.mkOr(v0, v1));
         break;
       }
       case Op::IteF:
       case Op::IteT: {
-        if (!ready(sg.args[0])) {
-          stack_.push_back(Frame{sg.args[0], 0});
+        if (!ready(args[0])) {
+          stack_.push_back(Frame{args[0], 0});
           break;
         }
-        const Expr c = memo_[sg.args[0]];
+        const Expr c = memo_[args[0]];
         if (coi && (c == cTrue || c == cFalse)) {
-          const SignalId taken = c == cTrue ? sg.args[1] : sg.args[2];
+          const SignalId taken = c == cTrue ? args[1] : args[2];
           if (!ready(taken)) {
             stack_.push_back(Frame{taken, 0});
             break;
@@ -112,22 +113,22 @@ Expr Simulator::eval(SignalId root) {
           finish(sig, memo_[taken]);
           break;
         }
-        if (!ready(sg.args[1])) {
-          stack_.push_back(Frame{sg.args[1], 0});
+        if (!ready(args[1])) {
+          stack_.push_back(Frame{args[1], 0});
           break;
         }
-        if (!ready(sg.args[2])) {
-          stack_.push_back(Frame{sg.args[2], 0});
+        if (!ready(args[2])) {
+          stack_.push_back(Frame{args[2], 0});
           break;
         }
-        const Expr t = memo_[sg.args[1]], e = memo_[sg.args[2]];
+        const Expr t = memo_[args[1]], e = memo_[args[2]];
         finish(sig, sg.op == Op::IteF ? cx_.mkIteF(c, t, e)
                                       : cx_.mkIteT(c, t, e));
         break;
       }
       default: {  // Not, Eq, Read, Write, Apply: strict in all arguments
         bool pending = false;
-        for (SignalId a : sg.args) {
+        for (SignalId a : args) {
           if (!ready(a)) {
             stack_.push_back(Frame{a, 0});
             pending = true;
@@ -138,25 +139,23 @@ Expr Simulator::eval(SignalId root) {
         Expr v = kNoExpr;
         switch (sg.op) {
           case Op::Not:
-            v = cx_.mkNot(memo_[sg.args[0]]);
+            v = cx_.mkNot(memo_[args[0]]);
             break;
           case Op::Eq:
-            v = cx_.mkEq(memo_[sg.args[0]], memo_[sg.args[1]]);
+            v = cx_.mkEq(memo_[args[0]], memo_[args[1]]);
             break;
           case Op::Read:
-            v = cx_.mkRead(memo_[sg.args[0]], memo_[sg.args[1]]);
+            v = cx_.mkRead(memo_[args[0]], memo_[args[1]]);
             break;
           case Op::Write:
-            v = cx_.mkWrite(memo_[sg.args[0]], memo_[sg.args[1]],
-                            memo_[sg.args[2]]);
+            v = cx_.mkWrite(memo_[args[0]], memo_[args[1]],
+                            memo_[args[2]]);
             break;
-          case Op::Apply: {
-            std::vector<Expr> vals;
-            vals.reserve(sg.args.size());
-            for (SignalId a : sg.args) vals.push_back(memo_[a]);
-            v = cx_.apply(sg.func, vals);
+          case Op::Apply:
+            applyArgs_.clear();
+            for (SignalId a : args) applyArgs_.push_back(memo_[a]);
+            v = cx_.apply(sg.func, applyArgs_);
             break;
-          }
           default:
             VELEV_UNREACHABLE("unhandled op");
         }

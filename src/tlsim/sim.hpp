@@ -79,6 +79,7 @@ class Simulator {
     std::uint32_t idx;
   };
   std::vector<Frame> stack_;
+  std::vector<eufm::Expr> applyArgs_;  // argument values of one Apply
 };
 
 }  // namespace velev::tlsim

@@ -3,11 +3,17 @@
 // semantic ground truth for the rest of the suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
+
 #include "eufm/eval.hpp"
 #include "eufm/expr.hpp"
 #include "eufm/memsort.hpp"
 #include "eufm/print.hpp"
+#include "eufm/shadow.hpp"
 #include "eufm/traverse.hpp"
+#include "support/rng.hpp"
 
 namespace velev::eufm {
 namespace {
@@ -92,6 +98,18 @@ TEST_F(EufmTest, FunctionDeclarationIsIdempotent) {
   EXPECT_EQ(f1, f2);
   EXPECT_THROW(cx.declareFunc("ALU", 2), InternalError);
   EXPECT_THROW(cx.declarePred("ALU", 3), InternalError);
+}
+
+TEST_F(EufmTest, ArityAboveNodeLimitRejected) {
+  // Node::nargs is one byte: a wider symbol would intern truncated nodes
+  // that never hash-cons. The limit itself is fine.
+  EXPECT_THROW(cx.declareFunc("f", kMaxArity + 1), InternalError);
+  EXPECT_THROW(cx.declarePred("p", kMaxArity + 1), InternalError);
+  const FuncId g = cx.declareFunc("g", kMaxArity);
+  const std::vector<Expr> args(kMaxArity, cx.termVar("x"));
+  const Expr a = cx.apply(g, args);
+  EXPECT_EQ(cx.apply(g, args), a);
+  EXPECT_EQ(cx.args(a).size(), kMaxArity);
 }
 
 TEST_F(EufmTest, ApplicationArityChecked) {
@@ -296,6 +314,143 @@ TEST_F(EufmTest, HashConsTableGrowthKeepsIdentity) {
     acc = cx.apply(f, {acc, cx.termVar("v" + std::to_string(i % 97))});
     EXPECT_EQ(acc, nodes[i]);
   }
+}
+
+// ---- hash-consing against a reference map -----------------------------------
+// intern() skips the structural compare when an argument has no user yet
+// (Node::used), and growTable() re-inserts in id order. Neither may change
+// an answer: on random DAGs mixing fresh and repeated nodes, apply, mkRead
+// and mkWrite must return an existing id exactly when a structurally equal
+// node exists, and a new, dense id otherwise.
+
+using NodeKey = std::tuple<Kind, std::uint32_t, std::vector<Expr>>;
+
+// Drives `ctx` (a Context or a ShadowContext) with `steps` random apply,
+// mkRead and mkWrite calls and checks each answer against `ref`, which must
+// already hold the key of every node visible in `ctx`. `pool` holds the
+// nodes to draw arguments from; `fs` are symbols of arity 1, 2 and 3.
+template <class Ctx>
+void internMatchesReference(Ctx& ctx, std::map<NodeKey, Expr>& ref,
+                            std::vector<Expr>& pool,
+                            const std::vector<FuncId>& fs, Rng& rng,
+                            int steps) {
+  std::vector<NodeKey> seen;
+  for (int i = 0; i < steps; ++i) {
+    NodeKey key;
+    if (!seen.empty() && rng.below(4) == 0) {
+      key = seen[rng.below(seen.size())];  // a node that exists already
+    } else {
+      // Mostly recent (often unused) arguments, sometimes any older one.
+      auto pick = [&] {
+        const std::size_t n = pool.size();
+        return rng.coin() ? pool[n - 1 - rng.below(std::min<std::size_t>(n, 8))]
+                          : pool[rng.below(n)];
+      };
+      const unsigned shape = rng.below(5);
+      std::vector<Expr> args;
+      if (shape < 3) {
+        for (unsigned j = 0; j <= shape; ++j) args.push_back(pick());
+        key = {Kind::Uf, fs[shape], args};
+      } else if (shape == 3) {
+        key = {Kind::Read, kNoSym, {pick(), pick()}};
+      } else {
+        key = {Kind::Write, kNoSym, {pick(), pick(), pick()}};
+      }
+    }
+    const auto& [k, sym, args] = key;
+    const std::size_t before = ctx.numNodes();
+    Expr e = kNoExpr;
+    switch (k) {
+      case Kind::Uf: e = ctx.apply(sym, args); break;
+      case Kind::Read: e = ctx.mkRead(args[0], args[1]); break;
+      default: e = ctx.mkWrite(args[0], args[1], args[2]); break;
+    }
+    const auto it = ref.find(key);
+    if (it != ref.end()) {
+      ASSERT_EQ(e, it->second) << "step " << i << ": missed an existing node";
+      ASSERT_EQ(ctx.numNodes(), before);
+    } else {
+      ASSERT_EQ(e, before) << "step " << i << ": hit a node that differs";
+      ASSERT_EQ(ctx.numNodes(), before + 1);
+      ref.emplace(key, e);
+      seen.push_back(key);
+      pool.push_back(e);
+    }
+    ASSERT_EQ(ctx.kind(e), k);
+    ASSERT_TRUE(std::ranges::equal(ctx.args(e), args));
+  }
+}
+
+TEST_F(EufmTest, InternMatchesAReferenceMapAcrossTableGrowth) {
+  // 1024 slots at 70% load double for the 8th time at 91,751 nodes.
+  Rng rng(20021);
+  const std::vector<FuncId> fs = {cx.declareFunc("f1", 1),
+                                  cx.declareFunc("f2", 2),
+                                  cx.declareFunc("f3", 3)};
+  std::map<NodeKey, Expr> ref;
+  std::vector<Expr> pool;
+  for (int i = 0; i < 64; ++i) {
+    const Expr v = cx.termVar("v" + std::to_string(i));
+    ref.emplace(NodeKey{Kind::TermVar, cx.varSym(v), {}}, v);
+    pool.push_back(v);
+  }
+  internMatchesReference(cx, ref, pool, fs, rng, 160000);
+  EXPECT_GT(cx.numNodes(), 100000u);
+  // find() agrees with the reference on every node, and misses a node
+  // whose argument has no user yet.
+  for (const auto& [key, e] : ref) {
+    const auto& [k, sym, args] = key;
+    if (!args.empty()) {
+      ASSERT_EQ(cx.find(k, sym, args), e);
+    }
+  }
+  const Expr lone = cx.termVar("lone");
+  EXPECT_EQ(cx.find(Kind::Uf, fs[0], std::vector<Expr>{lone}), kNoExpr);
+  const Expr f = cx.apply(fs[0], {lone});
+  EXPECT_EQ(cx.find(Kind::Uf, fs[0], std::vector<Expr>{lone}), f);
+}
+
+TEST_F(EufmTest, ApplyToAnotherNodesArgumentsSurvivesPoolGrowth) {
+  // cx.args(e) is a span into the argument pool that apply() appends to,
+  // so interning may read it only until the pool reallocates. The pads'
+  // varying arities let some of g's inserts land on a reallocation.
+  const FuncId f = cx.declareFunc("f", 2);
+  const FuncId g = cx.declareFunc("g", 2);
+  const std::vector<FuncId> pads = {cx.declareFunc("p1", 1),
+                                    cx.declareFunc("p2", 2),
+                                    cx.declareFunc("p3", 3)};
+  for (int i = 0; i < 20000; ++i) {
+    const Expr x = cx.termVar("x" + std::to_string(i));
+    const Expr y = cx.termVar("y" + std::to_string(i));
+    const std::vector<Expr> padArgs(i % 3 + 1, x);
+    cx.apply(pads[i % 3], padArgs);
+    const Expr e = cx.apply(f, {x, y});
+    const Expr h = cx.apply(g, cx.args(e));
+    ASSERT_TRUE(std::ranges::equal(cx.args(h), std::vector<Expr>{x, y}));
+    ASSERT_EQ(cx.apply(g, {x, y}), h);
+  }
+}
+
+TEST_F(EufmTest, ShadowInternMatchesAReferenceMap) {
+  // The overlay's local table (rehashed in id order) and its read-through
+  // to the frozen base's find(): the reference holds the base's nodes and
+  // the overlay's own alike.
+  Rng rng(7);
+  const std::vector<FuncId> fs = {cx.declareFunc("f1", 1),
+                                  cx.declareFunc("f2", 2),
+                                  cx.declareFunc("f3", 3)};
+  std::map<NodeKey, Expr> ref;
+  std::vector<Expr> pool;
+  for (int i = 0; i < 32; ++i) {
+    const Expr v = cx.termVar("v" + std::to_string(i));
+    ref.emplace(NodeKey{Kind::TermVar, cx.varSym(v), {}}, v);
+    pool.push_back(v);
+  }
+  internMatchesReference(cx, ref, pool, fs, rng, 4000);
+  ShadowContext sh(cx);
+  internMatchesReference(sh, ref, pool, fs, rng, 40000);
+  EXPECT_GT(sh.localNodes(), 20000u);
+  EXPECT_EQ(cx.numNodes() + sh.localNodes(), sh.numNodes());
 }
 
 TEST_F(EufmTest, DeepChainTraversalIsIterative) {

@@ -268,6 +268,50 @@ TEST(Models, DiagramPcShapes) {
   EXPECT_EQ(d.specRegFile.size(), 3u);
 }
 
+// ---- pinned DAG identity -----------------------------------------------------
+// Speed-ups to simulation and hash-consing must not move a single node:
+// every later stage, and every CNF, is keyed by these ids. The counters and
+// the ids of the diagram's roots are pinned.
+
+struct DiagramPin {
+  unsigned n, k;
+  bool coi;
+  std::uint64_t nodes, arenaBytes, implEvals, flushEvals;
+  Expr implRegFile, correctness;
+  std::vector<Expr> specRegFile;  // m = 0..k
+};
+
+TEST(Models, DiagramIdsAndCountersPinned) {
+  const std::vector<DiagramPin> pins = {
+      {16, 4, true, 1625, 67080, 9317, 7730, 1605, 1624,
+       {254, 266, 278, 290, 302}},
+      {64, 8, true, 18481, 733928, 113699, 95396, 18445, 18480,
+       {950, 962, 974, 986, 998, 1010, 1022, 1034, 1046}},
+      {128, 16, true, 69729, 2936032, 449663, 380296, 69661, 69728,
+       {1894, 1906, 1918, 1930, 1942, 1954, 1966, 1978, 1990, 2002, 2014, 2026,
+        2038, 2050, 2062, 2074, 2086}},
+      {32, 4, false, 88126, 4062040, 198024, 192672, 88106, 88125,
+       {41959, 43167, 43172, 43177, 43182}},
+  };
+  for (const DiagramPin& pin : pins) {
+    SCOPED_TRACE(std::to_string(pin.n) + "x" + std::to_string(pin.k) +
+                 (pin.coi ? "" : " without cone of influence"));
+    Context cx;
+    const Isa isa = Isa::declare(cx);
+    auto impl = buildOoO(cx, isa, {pin.n, pin.k});
+    auto spec = buildSpec(cx, isa);
+    const core::Diagram d =
+        core::buildDiagram(cx, *impl, *spec, {.coneOfInfluence = pin.coi});
+    EXPECT_EQ(cx.numNodes(), pin.nodes);
+    EXPECT_EQ(cx.memoryBytes(), pin.arenaBytes);
+    EXPECT_EQ(d.implSimStats.signalEvals, pin.implEvals);
+    EXPECT_EQ(d.flushSimStats.signalEvals, pin.flushEvals);
+    EXPECT_EQ(d.implRegFile, pin.implRegFile);
+    EXPECT_EQ(d.correctness, pin.correctness);
+    EXPECT_EQ(d.specRegFile, pin.specRegFile);
+  }
+}
+
 // ---- name-registry round trip ----------------------------------------------
 // Every BugKind must round-trip through the support/names.hpp registry; an
 // enumerator added without a table entry fails here.

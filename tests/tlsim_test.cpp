@@ -2,6 +2,9 @@
 // including the equivalence of cone-of-influence and naive evaluation modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "eufm/eval.hpp"
 #include "eufm/print.hpp"
 #include "support/rng.hpp"
@@ -48,6 +51,58 @@ TEST(Netlist, IncompleteNetlistRejectedAtSimulation) {
   Netlist nl(cx);
   nl.sLatchFree("L", Sort::Term);
   EXPECT_THROW(Simulator sim(nl), InternalError);
+}
+
+// The message of a failed check, or "" when `f` does not throw.
+template <class F>
+std::string checkMessage(F&& f) {
+  try {
+    f();
+  } catch (const InternalError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Netlist, DiagnosticsNameTheirSignal) {
+  // Names live in a side table, not in the signals: the three netlist
+  // diagnostics must still find them.
+  Context cx;
+  Netlist nl(cx);
+  const SignalId go = nl.sInput("go", Sort::Formula);
+  const SignalId twice = nl.sLatchFree("Twice", Sort::Formula);
+  nl.setNext(twice, nl.sAnd(twice, go));
+  EXPECT_NE(checkMessage([&] { nl.setNext(twice, twice); })
+                .find("latch Twice driven twice"),
+            std::string::npos);
+  {
+    Simulator sim(nl);
+    EXPECT_NE(checkMessage([&] { sim.step(); }).find("input 'go' not driven"),
+              std::string::npos);
+  }
+  nl.sLatchFree("Loose", Sort::Term);
+  EXPECT_NE(checkMessage([&] { Simulator sim(nl); })
+                .find("latch Loose has no next-state driver"),
+            std::string::npos);
+  EXPECT_EQ(nl.name(go), "go");
+  EXPECT_EQ(nl.name(twice), "Twice");
+  EXPECT_EQ(nl.name(nl.sNot(go)), "");
+}
+
+TEST(Netlist, FanInReadsBackInOperandOrder) {
+  Context cx;
+  Netlist nl(cx);
+  const eufm::FuncId f = cx.declareFunc("f", 3);
+  const SignalId c = nl.sInput("c", Sort::Formula);
+  const SignalId x = nl.sLatchFree("X", Sort::Term);
+  const SignalId y = nl.sFixed(cx.termVar("y"));
+  const SignalId ite = nl.sIteT(c, x, y);
+  const SignalId app = nl.sApply(f, {y, ite, x});
+  EXPECT_TRUE(nl.args(x).empty());
+  EXPECT_TRUE(std::ranges::equal(nl.args(ite), std::vector<SignalId>{c, x, y}));
+  EXPECT_TRUE(
+      std::ranges::equal(nl.args(app), std::vector<SignalId>{y, ite, x}));
+  EXPECT_EQ(nl.signal(app).func, f);
 }
 
 TEST(Netlist, FreeLatchInitialStateIsNamedVariable) {
