@@ -1,8 +1,9 @@
-// Replay benchmark for the velev_serve daemon: drives an in-process
-// VerifyServer with a skewed stream of >= 1000 requests drawn from a pool
-// of ~48 distinct small cells (both strategies, both engines, bug
-// injections, UF-scheme and simulation variants), from several client
-// threads at once — the serving path minus the socket.
+// Replay benchmark for the velev_serve daemon: drives a VerifyServer (its
+// jobs in velev_serve worker processes, as in the daemon) with a skewed
+// stream of >= 1000 requests drawn from a pool of ~56 distinct small cells
+// (both strategies, both engines, bug injections, UF-scheme and simulation
+// variants), from several client threads at once — the serving path minus
+// the socket.
 //
 // Four checks gate the exit code:
 //   * pass 1 measures cold throughput and per-request latency percentiles
@@ -206,7 +207,8 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(cacheDir);
 
   serve::ServerOptions opts;
-  opts.jobs = jobs;
+  opts.jobs = jobs;  // worker processes
+  opts.workerExecutable = VELEV_SERVE_BIN;
   opts.cacheDir = cacheDir;
   auto server = std::make_unique<serve::VerifyServer>(opts);
   bench::JsonReport json("serve", jobs);

@@ -15,11 +15,11 @@
 //               fulfills (or abandons) — concurrent identical requests
 //               coalesce onto ONE running job.
 //
-// Waiters are callbacks, not blocking futures, on purpose: jobs execute on
-// the verification thread pool, and a pool worker blocking on a sibling
-// job's future is a deadlock waiting for a full pool. fulfill() invokes
-// the waiters OUTSIDE the cache lock (a waiter writes to a socket or
-// fulfills a promise — never reenters the cache).
+// Waiters are callbacks, not blocking futures, on purpose: a job's answer
+// arrives on a worker pool reader thread, and that thread blocking on a
+// sibling job's future would stop reading the answers it waits for.
+// fulfill() invokes the waiters OUTSIDE the cache lock (a waiter writes to
+// a socket or fulfills a promise — never reenters the cache).
 //
 // Not every outcome is cacheable: the daemon never stores wall-clock
 // Timeout verdicts (whether a deadline trips depends on machine load, so

@@ -1,7 +1,8 @@
 // Minimal blocking client for the velev_serve wire protocol: connect to a
 // unix-domain or TCP endpoint, send one-line JSON requests, read one-line
 // responses. Used by `velev_verify --connect`, the service smoke checks
-// and the tests; the replay bench drives the server in-process instead.
+// and the tests; the replay bench drives the server through handleLine
+// instead.
 //
 // An endpoint string is parsed by Client::connect():
 //   "unix:PATH"       unix-domain socket at PATH

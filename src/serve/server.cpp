@@ -14,8 +14,6 @@
 #include <sstream>
 #include <utility>
 
-#include "support/timer.hpp"
-
 namespace velev::serve {
 
 namespace {
@@ -89,12 +87,20 @@ std::string wire(const core::VerifyResponse& resp) {
   return compactJson(resp.toJson());
 }
 
+WorkerPoolOptions poolOptions(const ServerOptions& opts) {
+  WorkerPoolOptions po;
+  po.executable = opts.workerExecutable;
+  po.processes = opts.jobs;
+  po.crashAfter = opts.workerCrashAfter;
+  return po;
+}
+
 }  // namespace
 
 VerifyServer::VerifyServer(ServerOptions opts)
     : opts_(std::move(opts)),
       cache_(opts_.cacheMaxEntries),
-      pool_(std::make_unique<ThreadPool>(opts_.jobs == 0 ? 1 : opts_.jobs)) {
+      workerPool_(poolOptions(opts_), collector_) {
   if (!opts_.cacheDir.empty()) {
     {
       trace::Use tracing(&collector_);  // store.open, store.restored/dropped
@@ -104,29 +110,16 @@ VerifyServer::VerifyServer(ServerOptions opts)
     for (const core::VerifyResponse& resp : store_->records())
       cache_.seed(std::stoull(resp.cacheKey, nullptr, 16), resp);
   }
-  if (opts_.workers > 0) {
-    WorkerPoolOptions po;
-    po.executable = opts_.workerExecutable;
-    po.workers = opts_.workers;
-    po.batch = opts_.batch;
-    po.maxBatch = opts_.maxBatch;
-    po.crashAfter = opts_.workerCrashAfter;
-    po.collector = &collector_;
-    auto pool = std::make_unique<WorkerPool>(std::move(po));
-    std::string err;
-    if (pool->start(&err))
-      workerPool_ = std::move(pool);
-    else
-      poolError_ = err;
-  }
+  std::string err;
+  if (!workerPool_.start(&err)) poolError_ = err;
 }
 
 VerifyServer::~VerifyServer() { stop(); }
 
 bool VerifyServer::start(std::string* error) {
   if (!poolError_.empty()) {
-    // Fail fast: a daemon that was asked for worker processes but could
-    // not spawn any is misconfigured, not degraded.
+    // Fail fast: a daemon that cannot spawn a single worker process is
+    // misconfigured, not degraded.
     if (error != nullptr) *error = poolError_;
     return false;
   }
@@ -182,12 +175,11 @@ void VerifyServer::stop() {
   for (auto& conn : conns_)
     if (conn->reader.joinable()) conn->reader.join();
 
-  // 3. Drain the pools: every scheduled job finishes and its response is
-  //    written to the (still-open) connections. New submits are refused
-  //    from here on — nothing may queue behind a draining pool.
+  // 3. Drain the worker pool: every scheduled job finishes and its
+  //    response is written to the (still-open) connections. New submits
+  //    are refused from here on — nothing may queue behind a draining pool.
   stopJobs_.store(true);
-  if (workerPool_ != nullptr) workerPool_->stop();
-  pool_.reset();
+  workerPool_.stop();
 
   // 4. Now the connections are quiescent; close them.
   for (auto& conn : conns_) {
@@ -264,21 +256,17 @@ void VerifyServer::submit(core::VerifyRequest req, ResultCache::Waiter done) {
   }
   collector_.addCounter("serve.jobs", 1);
 
-  if (workerPool_ != nullptr) {
-    workerPool_->submit(req,
-                        [this, req, key, done](const core::VerifyResponse& r) {
-                          completeJob(req, key, r, done);
-                        });
-    return;
-  }
   if (!poolError_.empty()) {
-    // workers were requested but the pool never started (and the caller
-    // drove handleLine() without start(), which would have failed fast).
+    // The pool never started (and the caller drove handleLine() without
+    // start(), which would have failed fast).
     completeJob(req, key, core::VerifyResponse::makeError(id, poolError_),
                 done);
     return;
   }
-  pool_->submit([this, req, key, done] { runJob(req, key, done); });
+  workerPool_.submit(req,
+                     [this, req, key, done](const core::VerifyResponse& r) {
+                       completeJob(req, key, r, done);
+                     });
 }
 
 bool VerifyServer::admitJob(const core::VerifyRequest& req) {
@@ -303,26 +291,6 @@ void VerifyServer::releaseJob(const core::VerifyRequest& req) {
   std::lock_guard<std::mutex> lk(admissionMutex_);
   if (pendingJobs_ > 0) --pendingJobs_;
   pendingSeconds_ = std::max(0.0, pendingSeconds_ - eff);
-}
-
-void VerifyServer::runJob(const core::VerifyRequest& req, std::uint64_t key,
-                          ResultCache::Waiter done) {
-  try {
-    core::VerifyReport rep;
-    Timer t;
-    {
-      // The server-lifetime collector is thread-safe; attaching it here
-      // gives every job a serve.job span (and the verify.* sub-spans).
-      trace::Use tracing(&collector_);
-      TRACE_SPAN("serve.job");
-      rep = core::verify(req);
-    }
-    completeJob(req, key,
-                core::VerifyResponse::fromReport(req, rep, t.seconds()), done);
-  } catch (const std::exception& e) {
-    completeJob(req, key, core::VerifyResponse::makeError(req.id, e.what()),
-                done);
-  }
 }
 
 void VerifyServer::completeJob(const core::VerifyRequest& req,
@@ -375,19 +343,15 @@ std::string VerifyServer::controlResponse(const std::string& op) {
     w.kv("serve.cache.entries", cs.entries);
     w.kv("serve.cache.inflight", cs.inflight);
     w.kv("serve.cache.evictions", cs.evictions);
-    if (workerPool_ != nullptr) {
-      const WorkerPool::Stats ps = workerPool_->stats();
-      w.kv("serve.pool.workers_alive", ps.aliveWorkers);
-      w.kv("serve.pool.queued", ps.queued);
-      w.kv("serve.pool.inflight", ps.inflight);
-      w.kv("serve.pool.dispatched", ps.dispatched);
-      w.kv("serve.pool.crashes_total", ps.crashes);
-      w.kv("serve.pool.respawns_total", ps.respawns);
-      w.kv("serve.pool.retries_total", ps.retries);
-      w.kv("serve.pool.failed_total", ps.failed);
-      w.kv("serve.pool.batches_total", ps.batches);
-      w.kv("serve.pool.batched_requests_total", ps.batchedRequests);
-    }
+    const WorkerPool::Stats ps = workerPool_.stats();
+    w.kv("serve.pool.workers_alive", ps.aliveWorkers);
+    w.kv("serve.pool.queued", ps.queued);
+    w.kv("serve.pool.inflight", ps.inflight);
+    w.kv("serve.pool.dispatched", ps.dispatched);
+    w.kv("serve.pool.crashes_total", ps.crashes);
+    w.kv("serve.pool.respawns_total", ps.respawns);
+    w.kv("serve.pool.retries_total", ps.retries);
+    w.kv("serve.pool.failed_total", ps.failed);
     w.endObject();
     w.endObject();
   } else if (op == "shutdown") {
@@ -431,8 +395,8 @@ std::string VerifyServer::dispatchLine(const std::string& line,
 
 std::string VerifyServer::handleLine(const std::string& line) {
   // The synchronous face of dispatchLine(): park the response in a
-  // promise. Safe from any thread that is not a pool worker (a worker
-  // waiting here on a coalesced sibling would deadlock a full pool).
+  // promise. Safe from any thread but a pool reader (one waiting here
+  // would never read the answer it waits for).
   auto promise = std::make_shared<std::promise<core::VerifyResponse>>();
   std::future<core::VerifyResponse> future = promise->get_future();
   const std::string direct = dispatchLine(

@@ -12,22 +12,21 @@
 // pipelined requests may arrive out of order; match them by "id".
 //
 // EXECUTION MODEL: requests are validated and admission-clamped on the
-// connection's reader thread, then scheduled as jobs. With workers == 0
-// the jobs run in-process on a work-stealing verification pool
-// (support/thread_pool.hpp); with workers > 0 they are shipped to a
-// supervised pool of worker PROCESSES (serve/supervisor.hpp) so a
+// connection's reader thread; cache misses become jobs shipped to a
+// supervised pool of `jobs` worker PROCESSES (serve/supervisor.hpp), so a
 // verification that aborts or is SIGKILLed costs one worker, never the
-// daemon — the supervisor retries in-flight requests on a sibling and
-// respawns the slot. Either way each job builds its own eufm::Context and
-// arms its own BudgetGovernor from the request's budget (the grid
+// daemon and its warm cache — the supervisor retries in-flight requests on
+// a sibling and respawns the slot. Each job builds its own eufm::Context
+// and arms its own BudgetGovernor from the request's budget (the grid
 // runner's one-Context-per-cell rule) — a budget-exhausted job degrades
 // into a timeout/memout verdict in the response, exactly like the CLI.
 // Results route through the content-addressed ResultCache: identical
 // in-flight requests coalesce onto one running job (waiter callbacks, not
-// blocking futures — pool workers never wait on sibling jobs), and
-// finished results are served as cache hits. Wall-clock Timeout verdicts
-// are never cached: whether a deadline trips depends on machine load, so
-// freezing one would replay a nondeterministic answer forever.
+// blocking futures — a job's answer arrives on a pool reader thread, which
+// must never block), and finished results are served as cache hits.
+// Wall-clock Timeout verdicts are never cached: whether a deadline trips
+// depends on machine load, so freezing one would replay a
+// nondeterministic answer forever.
 //
 // PERSISTENCE: with cacheDir set, the cache is backed by a
 // core::ResultStore (core/result_store.hpp) — the store the grid runner's
@@ -49,10 +48,12 @@
 // and always served. A rejected request gets an immediate error response;
 // nothing is silently dropped.
 //
-// OBSERVABILITY: the server owns one thread-safe trace::Collector; every
-// job runs under it (TRACE_SPAN "serve.job") and the request/cache flow
-// counts serve.* counters (names in docs/TRACE_FORMAT.md). The "stats" op
-// reports them plus the cache statistics.
+// OBSERVABILITY: the server owns one thread-safe trace::Collector; the
+// request/cache flow and the worker pool count serve.* counters on it, and
+// opening the result store counts store.* (names in
+// docs/TRACE_FORMAT.md). Jobs run in the workers, so nothing per job
+// accumulates here. The "stats" op reports the counters plus the cache
+// and pool statistics.
 #pragma once
 
 #include <atomic>
@@ -67,7 +68,6 @@
 #include "core/result_store.hpp"
 #include "serve/cache.hpp"
 #include "serve/supervisor.hpp"
-#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
 namespace velev::serve {
@@ -79,7 +79,7 @@ struct ServerOptions {
   /// TCP port on 127.0.0.1; -1 = no TCP listener, 0 = ephemeral (read the
   /// bound port back with tcpPort()).
   int tcpPort = -1;
-  /// Verification pool workers (clamped to >= 1).
+  /// Verification worker processes (clamped to >= 1).
   unsigned jobs = 1;
   /// Result-cache capacity (ready entries; LRU beyond this).
   std::size_t cacheMaxEntries = 1024;
@@ -89,17 +89,10 @@ struct ServerOptions {
   double maxTimeoutSeconds = 0;
   std::uint64_t maxMemoryBudgetBytes = 0;
 
-  /// Worker PROCESSES. 0 = verify in-process on the thread pool (the
-  /// pre-shard behaviour); > 0 = ship jobs to a supervised pool of
-  /// `workerExecutable --worker` processes (crash isolation + retry).
-  unsigned workers = 0;
-  /// Binary to spawn as a worker; normally the daemon's own executable
-  /// (/proc/self/exe). Required when workers > 0.
+  /// Binary to spawn as `workerExecutable --worker FD`; normally the
+  /// daemon's own executable (/proc/self/exe). Required: without it no
+  /// job can run, start() fails and every miss answers an error.
   std::string workerExecutable;
-  /// Batching lane: group compatible queued requests (same cell modulo
-  /// ROB size) onto one worker dispatch. Only meaningful with workers > 0.
-  bool batch = false;
-  std::size_t maxBatch = 8;
   /// TEST HOOK, forwarded to WorkerPoolOptions::crashAfter.
   int workerCrashAfter = 0;
 
@@ -127,10 +120,10 @@ class VerifyServer {
 
   /// Bind + listen on the configured sockets and start the accept loop.
   /// Returns false (with a reason) when no listener could be set up.
-  /// Optional: handleLine() works without start() for in-process use.
+  /// Optional: handleLine() works without start() for socket-free use.
   bool start(std::string* error = nullptr);
 
-  /// Tear down: stop accepting, drain connection readers, drain the job
+  /// Tear down: stop accepting, drain connection readers, drain the worker
   /// pool (in-flight verifications finish and answer), close connections.
   /// Idempotent; also called by the destructor.
   void stop();
@@ -142,9 +135,9 @@ class VerifyServer {
   const ServerOptions& options() const { return opts_; }
 
   /// Process one request line synchronously and return the one-line JSON
-  /// response — the in-process entry the tests and the replay bench drive
+  /// response — the socket-free entry the tests and the replay bench drive
   /// (it is exactly what a connection reader does, minus the socket).
-  /// Blocks until the job finishes; never call it from a pool worker.
+  /// Blocks until the job finishes; never call it from a job's callback.
   std::string handleLine(const std::string& line);
 
   /// Flag the server to shut down (the "shutdown" op calls this). The
@@ -177,15 +170,9 @@ class VerifyServer {
   /// once with the response (possibly on another thread).
   void submit(core::VerifyRequest req, ResultCache::Waiter done);
 
-  /// Run one verification job (in-process pool thread): verify, then
-  /// completeJob().
-  void runJob(const core::VerifyRequest& req, std::uint64_t key,
-              ResultCache::Waiter done);
-
-  /// Owner-job epilogue, shared by the in-process and worker paths:
-  /// release admission, settle the cache (fulfill or abandon), append to
-  /// the result store when storable, answer the owner. Fires exactly once
-  /// per admitted job.
+  /// Owner-job epilogue: release admission, settle the cache (fulfill or
+  /// abandon), append to the result store when storable, answer the owner.
+  /// Fires exactly once per admitted job.
   void completeJob(const core::VerifyRequest& req, std::uint64_t key,
                    const core::VerifyResponse& resp,
                    const ResultCache::Waiter& done);
@@ -209,14 +196,13 @@ class VerifyServer {
   void writeLine(Connection* conn, const std::string& line);
 
   ServerOptions opts_;
-  ResultCache cache_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<core::ResultStore> store_;
-  std::unique_ptr<WorkerPool> workerPool_;
-  /// Non-empty when workers > 0 was requested but the pool could not be
-  /// started: start() fails with it, and submits answer it as an error.
-  std::string poolError_;
   trace::Collector collector_;
+  ResultCache cache_;
+  std::unique_ptr<core::ResultStore> store_;
+  WorkerPool workerPool_;
+  /// Non-empty when the worker pool could not be started: start() fails
+  /// with it, and submits answer it as an error.
+  std::string poolError_;
 
   std::mutex admissionMutex_;
   std::size_t pendingJobs_ = 0;     // admitted, not yet completed

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 #include <utility>
 
 #include "support/json.hpp"
@@ -14,10 +13,20 @@ namespace velev::serve {
 
 namespace {
 
-/// Cap a doubling backoff without overflow: 2^min(n, 10) steps.
-double crashBackoff(double base, unsigned consecutiveCrashes) {
+/// Consecutive crashes after which a worker slot is abandoned.
+constexpr unsigned kMaxRespawns = 8;
+/// First respawn delay; doubles per consecutive crash, capped at 2 s.
+constexpr double kRespawnBackoffSeconds = 0.05;
+/// Re-dispatch delay of a crashed ticket, per attempt.
+constexpr double kRetryBackoffSeconds = 0.02;
+/// How long a freshly spawned worker has to answer the ping handshake.
+constexpr int kSpawnHandshakeMs = 10000;
+
+/// Respawn delay after `consecutiveCrashes` (>= 1) crashes, capped without
+/// overflow: 2^min(n, 10) steps.
+double crashBackoff(unsigned consecutiveCrashes) {
   const unsigned steps = std::min(consecutiveCrashes, 10u) - 1u;
-  const double raw = base * static_cast<double>(1u << steps);
+  const double raw = kRespawnBackoffSeconds * static_cast<double>(1u << steps);
   return std::min(2.0, raw);
 }
 
@@ -30,23 +39,12 @@ core::VerifyResponse crashError(const core::VerifyRequest& req,
 
 }  // namespace
 
-WorkerPool::WorkerPool(WorkerPoolOptions opts) : opts_(std::move(opts)) {
-  if (opts_.workers == 0) opts_.workers = 1;
-  if (opts_.maxBatch < 2) opts_.maxBatch = 2;
+WorkerPool::WorkerPool(WorkerPoolOptions opts, trace::Collector& collector)
+    : opts_(std::move(opts)), collector_(collector) {
+  if (opts_.processes == 0) opts_.processes = 1;
 }
 
 WorkerPool::~WorkerPool() { stop(); }
-
-void WorkerPool::counter(const char* name, std::uint64_t delta) const {
-  if (opts_.collector != nullptr) opts_.collector->addCounter(name, delta);
-}
-
-std::string WorkerPool::groupKey(const core::VerifyRequest& req) {
-  core::VerifyRequest canon = req;
-  canon.id = 0;
-  canon.robSize = 0;  // the free axis: Table 5 columns share one CNF
-  return canon.toJson(/*includeId=*/false);
-}
 
 bool WorkerPool::start(std::string* error) {
   std::unique_lock<std::mutex> lk(mutex_);
@@ -56,7 +54,7 @@ bool WorkerPool::start(std::string* error) {
     return false;
   }
   workers_.clear();
-  for (unsigned i = 0; i < opts_.workers; ++i)
+  for (unsigned i = 0; i < opts_.processes; ++i)
     workers_.push_back(std::make_unique<Worker>());
 
   unsigned alive = 0;
@@ -100,10 +98,8 @@ bool WorkerPool::spawnWorkerLocked(std::size_t slot, bool first,
   Subprocess sp = spawnWithSocket(opts_.executable, std::move(args), &err);
   bool ok = sp.ok();
   if (ok) {
-    const int handshakeMs =
-        std::max(1, static_cast<int>(opts_.spawnHandshakeSeconds * 1000));
     ok = writeLineFd(sp.fd, "{\"op\": \"ping\"}") &&
-         waitReadable(sp.fd, handshakeMs);
+         waitReadable(sp.fd, kSpawnHandshakeMs);
     if (ok) {
       // The worker writes nothing after the pong until it is sent work,
       // so this throwaway reader cannot swallow response bytes.
@@ -122,25 +118,22 @@ bool WorkerPool::spawnWorkerLocked(std::size_t slot, bool first,
   if (!ok) {
     if (error != nullptr) *error = err;
     ++w.consecutiveCrashes;
-    if (w.consecutiveCrashes > opts_.maxRespawns) {
+    if (w.consecutiveCrashes > kMaxRespawns) {
       w.abandoned = true;
-      counter("serve.worker.abandoned", 1);
+      collector_.addCounter("serve.worker.abandoned", 1);
     } else {
-      w.respawnAt =
-          now() + crashBackoff(opts_.respawnBackoffSeconds,
-                               w.consecutiveCrashes);
+      w.respawnAt = now() + crashBackoff(w.consecutiveCrashes);
     }
     return false;
   }
   w.pid = sp.pid;
   w.fd = sp.fd;
   w.alive = true;
-  w.busy = false;
   w.respawnAt = 0;
   w.reader = std::thread([this, slot] { readerLoop(slot); });
   if (!first) {
     ++stats_.respawns;
-    counter("serve.worker.respawns", 1);
+    collector_.addCounter("serve.worker.respawns", 1);
   }
   return true;
 }
@@ -174,7 +167,7 @@ void WorkerPool::readerLoop(std::size_t slot) {
     std::optional<core::VerifyResponse> resp =
         core::VerifyResponse::parse(line);
     if (!resp.has_value()) {
-      counter("serve.worker.badline", 1);
+      collector_.addCounter("serve.worker.badline", 1);
       continue;
     }
     Ticket t;
@@ -187,7 +180,6 @@ void WorkerPool::readerLoop(std::size_t slot) {
         t = std::move(it->second);
         w.inflight.erase(it);
         found = true;
-        w.busy = !w.inflight.empty();
         w.consecutiveCrashes = 0;  // a finished answer ends the streak
       }
     }
@@ -209,7 +201,6 @@ void WorkerPool::onWorkerDeath(std::size_t slot) {
     Worker& w = *workers_[slot];
     if (!w.alive) return;
     w.alive = false;
-    w.busy = false;
     pid = w.pid;
     w.pid = -1;
     if (w.fd >= 0) {
@@ -221,14 +212,13 @@ void WorkerPool::onWorkerDeath(std::size_t slot) {
     crashed = !stopping_;
     if (crashed) {
       ++stats_.crashes;
-      counter("serve.worker.crashes", 1);
+      collector_.addCounter("serve.worker.crashes", 1);
       ++w.consecutiveCrashes;
-      if (w.consecutiveCrashes > opts_.maxRespawns) {
+      if (w.consecutiveCrashes > kMaxRespawns) {
         w.abandoned = true;
-        counter("serve.worker.abandoned", 1);
+        collector_.addCounter("serve.worker.abandoned", 1);
       } else {
-        w.respawnAt = now() + crashBackoff(opts_.respawnBackoffSeconds,
-                                           w.consecutiveCrashes);
+        w.respawnAt = now() + crashBackoff(w.consecutiveCrashes);
       }
     }
     // In-flight tickets: retry on a sibling (front of the queue — they
@@ -239,13 +229,13 @@ void WorkerPool::onWorkerDeath(std::size_t slot) {
       ++t.attempts;
       if (crashed && t.attempts <= opts_.maxRetries) {
         t.notBefore =
-            now() + opts_.retryBackoffSeconds * static_cast<double>(t.attempts);
+            now() + kRetryBackoffSeconds * static_cast<double>(t.attempts);
         ++stats_.retries;
-        counter("serve.pool.retries", 1);
+        collector_.addCounter("serve.pool.retries", 1);
         queue_.push_front(std::move(t));
       } else {
         ++stats_.failed;
-        counter("serve.pool.failed", 1);
+        collector_.addCounter("serve.pool.failed", 1);
         doomed.push_back(std::move(t));
       }
     }
@@ -283,7 +273,7 @@ void WorkerPool::dispatcherLoop() {
       std::deque<Ticket> doomed = std::move(queue_);
       queue_.clear();
       stats_.failed += doomed.size();
-      counter("serve.pool.failed", doomed.size());
+      collector_.addCounter("serve.pool.failed", doomed.size());
       drainCv_.notify_all();
       lk.unlock();
       for (Ticket& tk : doomed)
@@ -295,67 +285,24 @@ void WorkerPool::dispatcherLoop() {
     }
 
     // 3. Assign work to idle live workers. Writes happen under the lock:
-    //    a capacity-1 worker has at most one batch outstanding, far below
-    //    the socketpair buffer, so these writes never block.
+    //    a worker has at most one request outstanding, far below the
+    //    socketpair buffer, so these writes never block.
     for (std::size_t i = 0; i < workers_.size() && !queue_.empty(); ++i) {
       Worker& w = *workers_[i];
-      if (!w.alive || w.busy || w.spawning) continue;
-      std::size_t pick = queue_.size();
-      for (std::size_t q = 0; q < queue_.size(); ++q)
-        if (queue_[q].notBefore <= t) {
-          pick = q;
-          break;
-        }
-      if (pick == queue_.size()) break;  // nothing ready before its backoff
+      if (!w.alive || !w.inflight.empty() || w.spawning) continue;
+      const auto ready = std::find_if(
+          queue_.begin(), queue_.end(),
+          [t](const Ticket& tk) { return tk.notBefore <= t; });
+      if (ready == queue_.end()) break;  // nothing ready before its backoff
 
-      std::vector<Ticket> group;
-      group.push_back(std::move(queue_[pick]));
-      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
-      // Batching lane: ONLY first-attempt tickets ride together — a
-      // request that already crashed a worker must not take innocent
-      // queue neighbours down with it on the next crash.
-      if (opts_.batch && group.front().attempts == 0) {
-        const std::string gk = groupKey(group.front().req);
-        for (std::size_t q = 0;
-             q < queue_.size() && group.size() < opts_.maxBatch;) {
-          if (queue_[q].attempts == 0 && groupKey(queue_[q].req) == gk) {
-            group.push_back(std::move(queue_[q]));
-            queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(q));
-          } else {
-            ++q;
-          }
-        }
-      }
-
-      std::string line;
-      if (group.size() == 1) {
-        core::VerifyRequest copy = group.front().req;
-        copy.id = nextWireId_;
-        line = compactJson(copy.toJson());
-      } else {
-        std::ostringstream os;
-        JsonWriter jw(os);
-        jw.beginObject();
-        jw.kv("op", "batch");
-        jw.key("requests");
-        jw.beginArray();
-        for (std::size_t g = 0; g < group.size(); ++g) {
-          core::VerifyRequest copy = group[g].req;
-          copy.id = nextWireId_ + g;
-          copy.writeJson(jw);
-        }
-        jw.endArray();
-        jw.endObject();
-        line = compactJson(os.str());
-        ++stats_.batches;
-        stats_.batchedRequests += group.size();
-        counter("serve.pool.batches", 1);
-        counter("serve.pool.batched_requests", group.size());
-      }
-      stats_.dispatched += group.size();
-      for (auto& tk : group) w.inflight.emplace(nextWireId_++, std::move(tk));
-      w.busy = true;
-      writeLineFd(w.fd, line);  // failure => EOF soon; the reader retries
+      core::VerifyRequest copy = ready->req;
+      copy.id = nextWireId_;
+      ++stats_.dispatched;
+      w.inflight.emplace(nextWireId_++, std::move(*ready));
+      queue_.erase(ready);
+      // A failed write means the worker is dying: its reader sees EOF
+      // and retries the ticket.
+      writeLineFd(w.fd, compactJson(copy.toJson()));
       didWork = true;
     }
 

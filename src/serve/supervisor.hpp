@@ -1,4 +1,5 @@
-// The supervisor half of the velev_serve shard pool.
+// The supervisor half of the velev_serve daemon: every verification job
+// the daemon runs goes through here.
 //
 // WorkerPool owns N worker PROCESSES (velev_serve --worker, spawned over
 // socketpairs by support/subprocess.hpp) and routes verification jobs to
@@ -12,25 +13,19 @@
 //     kernel, so its reader thread wakes with EOF; no signals, no polling;
 //   * retry — the dead worker's in-flight tickets are re-queued at the
 //     FRONT of the queue (they were admitted first) with attempts+1 and a
-//     small per-attempt backoff; a ticket that has crashed 1+maxRetries
-//     workers is answered with an InternalError response — a client is
-//     never left hanging;
+//     small per-attempt backoff (20 ms per attempt); a ticket that has
+//     crashed 1+maxRetries workers is answered with an InternalError
+//     response — a client is never left hanging;
 //   * respawn — the slot is respawned with exponential backoff (doubling
-//     from respawnBackoffSeconds, capped at 2 s); after maxRespawns
-//     CONSECUTIVE crashes the slot is abandoned (a successful response
-//     resets the streak). If every slot is abandoned, queued work is
-//     failed with InternalError rather than queued forever;
-//   * poison protection — a retried ticket (attempts > 0) is never
-//     batched with others: if IT is what kills workers, it must not take
-//     innocent neighbours down with it.
+//     from 50 ms, capped at 2 s); after 8 CONSECUTIVE crashes the slot is
+//     abandoned (a successful response resets the streak). If every slot
+//     is abandoned, queued work is failed with InternalError rather than
+//     queued forever.
 //
-// BATCHING (opt-in, WorkerPoolOptions::batch): queued first-attempt
-// tickets with the same grouping key — identical request minus id and
-// robSize, i.e. the paper's Table 5 column: same issue width, same bug,
-// same strategy/engine/budgets, any ROB size — are dispatched to one
-// worker as a single {"op":"batch"} line. The worker answers the members
-// in order and serves bit-identical rewritten CNFs from its per-process
-// sat::SolveMemo, so a batch of k ROB sizes costs ~one SAT solve.
+// A worker runs one request at a time. Its per-process sat::SolveMemo
+// replays the bit-identical rewritten CNF of a Table 5 column (same issue
+// width, bug, strategy and budgets, any ROB size) whenever the column's
+// requests reach the same worker.
 //
 // Thread model: submit() enqueues; one dispatcher thread assigns tickets
 // to idle live workers and handles respawn scheduling; one reader thread
@@ -62,29 +57,15 @@ struct WorkerPoolOptions {
   /// Path of the binary to spawn as `executable --worker @FD@`
   /// (normally /proc/self/exe — the daemon respawning itself).
   std::string executable;
-  unsigned workers = 2;
+  unsigned processes = 2;  // clamped to >= 1
 
   /// A request may be retried on a sibling after this many worker crashes
   /// before it is failed with InternalError (total attempts = 1 + retries).
   unsigned maxRetries = 2;
-  /// Consecutive crashes after which a worker slot is abandoned.
-  unsigned maxRespawns = 8;
-  double respawnBackoffSeconds = 0.05;  // doubles per consecutive crash
-  double retryBackoffSeconds = 0.02;    // per-attempt re-dispatch delay
-
-  bool batch = false;        // enable the batching lane
-  std::size_t maxBatch = 8;  // max requests per batch line
 
   /// TEST HOOK: arm `--crash-after N` on the FIRST spawn of worker slot 0
   /// only (respawns never inherit it — a crash-retry cannot loop).
   int crashAfter = 0;
-
-  /// Seconds to wait for a freshly spawned worker's ping handshake.
-  double spawnHandshakeSeconds = 10;
-
-  /// Pool-level counters (serve.worker.crashes, serve.worker.respawns,
-  /// serve.pool.retries, ...) are recorded here when non-null. Not owned.
-  trace::Collector* collector = nullptr;
 };
 
 class WorkerPool {
@@ -95,8 +76,6 @@ class WorkerPool {
     std::uint64_t queued = 0;      // currently waiting for a worker
     std::uint64_t inflight = 0;    // currently inside a worker
     std::uint64_t dispatched = 0;  // requests sent to workers (incl retries)
-    std::uint64_t batches = 0;     // batch lines sent
-    std::uint64_t batchedRequests = 0;  // requests that rode in a batch
     std::uint64_t crashes = 0;     // worker deaths observed
     std::uint64_t respawns = 0;    // successful respawns
     std::uint64_t retries = 0;     // tickets re-queued after a crash
@@ -104,7 +83,9 @@ class WorkerPool {
     std::uint64_t aliveWorkers = 0;
   };
 
-  explicit WorkerPool(WorkerPoolOptions opts);
+  /// Pool-level counters (serve.worker.crashes, serve.pool.retries, ...)
+  /// are recorded on `collector`, which must outlive the pool.
+  WorkerPool(WorkerPoolOptions opts, trace::Collector& collector);
   ~WorkerPool();
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
@@ -139,13 +120,13 @@ class WorkerPool {
     int fd = -1;
     std::thread reader;
     bool alive = false;
-    bool busy = false;      // has in-flight work
     bool spawning = false;  // dispatcher is mid-respawn (lock dropped)
     bool abandoned = false;
     unsigned consecutiveCrashes = 0;
     double respawnAt = 0;  // pool-clock seconds; 0 = not scheduled
-    /// Wire id -> ticket. Wire ids are supervisor-assigned (monotonic), so
-    /// responses match tickets even when clients reuse request ids.
+    /// Wire id -> ticket; at most one entry (the request in flight). Wire
+    /// ids are supervisor-assigned (monotonic), so responses match tickets
+    /// even when clients reuse request ids.
     std::map<std::uint64_t, Ticket> inflight;
   };
 
@@ -155,14 +136,10 @@ class WorkerPool {
   void dispatcherLoop();
   void readerLoop(std::size_t slot);
   void onWorkerDeath(std::size_t slot);
-  void counter(const char* name, std::uint64_t delta) const;
   double now() const { return clock_.seconds(); }
 
-  /// Grouping key of the batching lane: the request's canonical JSON with
-  /// id and robSize neutralised (same string <=> batchable together).
-  static std::string groupKey(const core::VerifyRequest& req);
-
   WorkerPoolOptions opts_;
+  trace::Collector& collector_;
   Timer clock_;  // pool-lifetime monotonic clock for backoff deadlines
 
   mutable std::mutex mutex_;

@@ -20,8 +20,8 @@ namespace {
 
 /// Salvage the "id" of a line that failed to parse as a request (mirrors
 /// the server's connection readers).
-std::uint64_t salvageId(const JsonValue* v) {
-  return v != nullptr && v->isObject() ? v->uintAt("id") : 0;
+std::uint64_t salvageId(const JsonValue& v) {
+  return v.isObject() ? v.uintAt("id") : 0;
 }
 
 core::VerifyResponse runOne(const core::VerifyRequest& req,
@@ -43,22 +43,8 @@ int workerMain(const WorkerOptions& opts) {
   std::signal(SIGPIPE, SIG_IGN);
 
   FdLineReader reader(opts.fd);
-  sat::SolveMemo memo(opts.memoMaxEntries);
+  sat::SolveMemo memo;
   int seen = 0;
-
-  // Handle one request object; false when the supervisor end is gone.
-  const auto handleRequest = [&](const JsonValue& v) -> bool {
-    ++seen;
-    if (opts.crashAfter > 0 && seen >= opts.crashAfter)
-      _exit(kWorkerCrashExit);  // deterministic "killed mid-solve"
-    std::string err;
-    const std::optional<core::VerifyRequest> req =
-        core::VerifyRequest::fromJson(v, &err);
-    const core::VerifyResponse resp =
-        req.has_value() ? runOne(*req, &memo)
-                        : core::VerifyResponse::makeError(salvageId(&v), err);
-    return writeLineFd(opts.fd, compactJson(resp.toJson()));
-  };
 
   std::string line;
   while (reader.next(&line)) {
@@ -82,17 +68,21 @@ int workerMain(const WorkerOptions& opts) {
         w.kv("pid", static_cast<std::int64_t>(::getpid()));
         w.endObject();
         if (!writeLineFd(opts.fd, compactJson(os.str()))) return 0;
-      } else if (op->string == "batch") {
-        const JsonValue* reqs = v->find("requests");
-        if (reqs != nullptr && reqs->isArray())
-          for (const JsonValue& member : reqs->array)
-            if (!handleRequest(member)) return 0;
       }
       // Unknown internal ops are ignored: the protocol is
       // supervisor-internal, not client-facing.
       continue;
     }
-    if (!handleRequest(*v)) return 0;
+    ++seen;
+    if (opts.crashAfter > 0 && seen >= opts.crashAfter)
+      _exit(kWorkerCrashExit);  // deterministic "killed mid-solve"
+    std::string err;
+    const std::optional<core::VerifyRequest> req =
+        core::VerifyRequest::fromJson(*v, &err);
+    const core::VerifyResponse resp =
+        req.has_value() ? runOne(*req, &memo)
+                        : core::VerifyResponse::makeError(salvageId(*v), err);
+    if (!writeLineFd(opts.fd, compactJson(resp.toJson()))) return 0;
   }
   return 0;  // EOF: the supervisor closed its end (shutdown or respawn)
 }

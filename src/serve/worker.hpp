@@ -1,4 +1,4 @@
-// The worker-process half of the velev_serve shard pool.
+// The worker-process half of the velev_serve daemon.
 //
 // `velev_serve --worker FD` (spawned by serve::WorkerPool over a
 // socketpair; never started by hand) drops straight into workerMain(),
@@ -10,10 +10,7 @@
 //   * a schema-v1 core::VerifyRequest object  -> verified in THIS process
 //                                                (own Context, own
 //                                                governor), answered with
-//                                                one VerifyResponse line;
-//   * {"op": "batch", "requests": [...]}      -> the members are verified
-//                                                in order, one response
-//                                                line each as it finishes.
+//                                                one VerifyResponse line.
 //
 // The whole point of the process boundary: a verification that aborts,
 // double-frees, or is SIGKILLed takes down only this worker — the
@@ -21,11 +18,11 @@
 // a sibling and respawns the slot. The worker itself needs no crash
 // handling beyond "exit on EOF".
 //
-// One content-addressed sat::SolveMemo lives for the worker's lifetime and
-// backs every verification without a memory budget: batch members whose
-// rewritten CNF is bit-identical (the paper's Table 5 — same issue width,
-// any ROB size) replay one finished solve, result and counters exactly as a
-// fresh solve would produce them.
+// One content-addressed sat::SolveMemo (256 entries, its default) lives
+// for the worker's lifetime and backs every verification without a memory
+// budget: requests whose rewritten CNF is bit-identical (the paper's
+// Table 5 — same issue width, any ROB size) replay one finished solve,
+// result and counters exactly as a fresh solve would produce them.
 //
 // TEST HOOK: crashAfter = N (the `--crash-after N` flag, armed by the
 // supervisor's WorkerPoolOptions::crashAfter for the first spawn of worker
@@ -34,8 +31,6 @@
 // reading its Nth request, before answering — a deterministic stand-in for
 // "SIGKILLed mid-solve".
 #pragma once
-
-#include <cstddef>
 
 namespace velev::serve {
 
@@ -46,7 +41,6 @@ inline constexpr int kWorkerCrashExit = 57;
 struct WorkerOptions {
   int fd = -1;         // supervisor socketpair end (required)
   int crashAfter = 0;  // 0 = off; N > 0 aborts on the Nth request
-  std::size_t memoMaxEntries = 256;  // SolveMemo capacity
 };
 
 /// The worker main loop; returns the process exit code (0 on EOF).

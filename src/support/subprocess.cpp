@@ -11,11 +11,22 @@
 
 namespace velev {
 
+namespace {
+
+/// The child's socketpair end after the fork: the first descriptor past
+/// stdin, stdout and stderr.
+constexpr int kChildFd = 3;
+
+}  // namespace
+
 Subprocess spawnWithSocket(const std::string& executable,
                            std::vector<std::string> args,
                            std::string* error) {
+  // Both ends are close-on-exec from birth, with no window after a fork
+  // as a later fcntl() would leave: nothing another thread execs inherits
+  // them (one holding the parent's end would mask this child's death EOF).
   int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
     if (error != nullptr)
       *error = std::string("socketpair: ") + std::strerror(errno);
     return {};
@@ -26,7 +37,7 @@ Subprocess spawnWithSocket(const std::string& executable,
   // Everything the child touches between fork and exec must be prepared
   // here: only async-signal-safe calls are allowed in the forked child of
   // a multithreaded parent.
-  const std::string childFdStr = std::to_string(childFd);
+  const std::string childFdStr = std::to_string(kChildFd);
   for (std::string& a : args)
     if (a == kSubprocessFdArg) a = childFdStr;
   std::vector<char*> argv;
@@ -43,14 +54,21 @@ Subprocess spawnWithSocket(const std::string& executable,
     return {};
   }
   if (pid == 0) {
-    ::close(parentFd);
+    // The child keeps stdio and its socketpair end, moved to kChildFd;
+    // every other descriptor of the parent (listeners, client
+    // connections, the result store, sibling socketpairs) is closed, so a
+    // client's socket never outlives the parent's close of it. dup2()
+    // clears close-on-exec on the copy; when the end already is kChildFd,
+    // the flag is cleared by hand.
+    if (childFd == kChildFd)
+      ::fcntl(kChildFd, F_SETFD, 0);
+    else if (::dup2(childFd, kChildFd) != kChildFd)
+      _exit(127);
+    ::close_range(kChildFd + 1, ~0U, 0);
     ::execv(executable.c_str(), argv.data());
     _exit(127);  // exec failed: the parent sees instant EOF + status 127
   }
   ::close(childFd);
-  // Later forks (sibling workers) must not inherit this end: a sibling
-  // holding it open would mask this child's death EOF.
-  ::fcntl(parentFd, F_SETFD, FD_CLOEXEC);
   return Subprocess{pid, parentFd};
 }
 

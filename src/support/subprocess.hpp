@@ -1,12 +1,13 @@
 // Process + pipe helpers for the velev_serve supervisor/worker split.
 //
 // spawnWithSocket() forks and execs a child connected to the parent by one
-// unix-domain socketpair: the child's end stays open across exec (its fd
-// number is substituted into the argv), the parent's end gets FD_CLOEXEC
-// so later-spawned siblings never inherit it. A SIGKILLed (or crashed)
-// child makes the kernel close its end, so the parent's blocked read wakes
-// with EOF — that is the supervisor's whole death-detection mechanism; no
-// signal handler is involved.
+// unix-domain socketpair. The child starts with stdin, stdout, stderr and
+// its socketpair end (fd 3, substituted into the argv) and nothing else of
+// the parent's; the parent's end is close-on-exec, so later-spawned
+// siblings never inherit it. A SIGKILLed (or crashed) child makes the
+// kernel close its end, so the parent's blocked read wakes with EOF — that
+// is the supervisor's whole death-detection mechanism; no signal handler
+// is involved.
 //
 // FdLineReader / writeLineFd carry the newline-delimited JSON wire format
 // (docs/SERVICE.md) over raw fds, mirroring what serve::VerifyServer's

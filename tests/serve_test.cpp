@@ -3,11 +3,12 @@
 // fields, bad versions, unknown enum names and numbers a field cannot hold
 // are rejected), the content-addressed ResultCache (hit/owner/joined,
 // coalescing, LRU, the uncacheable-Timeout policy), the result store that
-// persists it (and the grid's results), the in-process VerifyServer
-// (caching, coalescing under concurrency, budget verdicts and their exit
-// codes, malformed-line handling, control ops) and the socket client
-// against a live server — cached answers must be identical to a fresh
-// in-process verification.
+// persists it (and the grid's results), the VerifyServer driven through
+// handleLine (caching, coalescing under concurrency, budget verdicts and
+// their exit codes, malformed-line handling, control ops), the socket
+// client against a live server, and the worker pool every job runs in
+// (fault injection, descriptor hygiene) — cached answers must be identical
+// to a fresh in-process verification.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -53,6 +54,14 @@ core::VerifyRequest smallRequest(std::uint64_t id = 1) {
   req.robSize = 3;
   req.issueWidth = 2;
   return req;
+}
+
+/// Options for a server whose jobs run in velev_serve worker processes —
+/// the only way a VerifyServer runs a job.
+serve::ServerOptions serverOptions() {
+  serve::ServerOptions opts;
+  opts.workerExecutable = VELEV_SERVE_BIN;
+  return opts;
 }
 
 /// Fresh (empty) scratch directory under the system temp dir.
@@ -373,7 +382,7 @@ TEST(ServeCache, LruEvictsOldestReadyEntry) {
   EXPECT_EQ(cache.claim(3, &out, nullptr), serve::ResultCache::Claim::Hit);
 }
 
-// ---- in-process server ------------------------------------------------------
+// ---- server, driven through handleLine --------------------------------------
 
 core::VerifyResponse handle(serve::VerifyServer& server,
                             const core::VerifyRequest& req) {
@@ -386,7 +395,7 @@ core::VerifyResponse handle(serve::VerifyServer& server,
 }
 
 TEST(ServeServer, VerifiesCachesAndAnswersIdentically) {
-  serve::VerifyServer server({});
+  serve::VerifyServer server(serverOptions());
   const core::VerifyRequest req = smallRequest();
 
   const core::VerifyResponse fresh = handle(server, req);
@@ -416,13 +425,13 @@ TEST(ServeServer, VerifiesCachesAndAnswersIdentically) {
 }
 
 TEST(ServeServer, ResponseIdEchoesRequestId) {
-  serve::VerifyServer server({});
+  serve::VerifyServer server(serverOptions());
   EXPECT_EQ(handle(server, smallRequest(11)).id, 11u);
   EXPECT_EQ(handle(server, smallRequest(22)).id, 22u);  // cache hit, new id
 }
 
 TEST(ServeServer, ConcurrentIdenticalRequestsShareOneJob) {
-  serve::ServerOptions opts;
+  serve::ServerOptions opts = serverOptions();
   opts.jobs = 4;
   serve::VerifyServer server(opts);
 
@@ -448,7 +457,7 @@ TEST(ServeServer, ConcurrentIdenticalRequestsShareOneJob) {
 }
 
 TEST(ServeServer, BudgetVerdictsCarryExitCodes) {
-  serve::VerifyServer server({});
+  serve::VerifyServer server(serverOptions());
 
   core::VerifyRequest timeout = smallRequest();
   timeout.strategy = core::Strategy::PositiveEqualityOnly;
@@ -478,7 +487,7 @@ TEST(ServeServer, BudgetVerdictsCarryExitCodes) {
 }
 
 TEST(ServeServer, AdmissionCapsClampRequestBudgets) {
-  serve::ServerOptions opts;
+  serve::ServerOptions opts = serverOptions();
   opts.maxTimeoutSeconds = 1e-9;  // every admitted request gets this cap
   serve::VerifyServer server(opts);
   core::VerifyRequest req = smallRequest();
@@ -490,7 +499,7 @@ TEST(ServeServer, AdmissionCapsClampRequestBudgets) {
 }
 
 TEST(ServeServer, MalformedAndInvalidLinesGetErrorResponses) {
-  serve::VerifyServer server({});
+  serve::VerifyServer server(serverOptions());
 
   std::string err;
   auto resp = core::VerifyResponse::parse(server.handleLine("not json"), &err);
@@ -527,7 +536,7 @@ TEST(ServeServer, MalformedAndInvalidLinesGetErrorResponses) {
 }
 
 TEST(ServeServer, ControlOpsAnswerInline) {
-  serve::VerifyServer server({});
+  serve::VerifyServer server(serverOptions());
   std::string err;
 
   const auto ping = parseJson(server.handleLine("{\"op\": \"ping\"}"), &err);
@@ -554,7 +563,7 @@ TEST(ServeServer, ControlOpsAnswerInline) {
 TEST(ServeSocket, ClientRoundTripMatchesInProcessVerify) {
   const std::string path =
       "/tmp/velev_serve_test_" + std::to_string(::getpid()) + ".sock";
-  serve::ServerOptions opts;
+  serve::ServerOptions opts = serverOptions();
   opts.unixSocketPath = path;
   opts.jobs = 2;
   serve::VerifyServer server(opts);
@@ -591,7 +600,7 @@ TEST(ServeSocket, ClientRoundTripMatchesInProcessVerify) {
 }
 
 TEST(ServeSocket, EphemeralTcpPortServesRequests) {
-  serve::ServerOptions opts;
+  serve::ServerOptions opts = serverOptions();
   opts.tcpPort = 0;  // kernel-assigned loopback port
   serve::VerifyServer server(opts);
   std::string err;
@@ -613,7 +622,7 @@ TEST(ServeSocket, EphemeralTcpPortServesRequests) {
 TEST(ServeSocket, OverlongLineGetsOneErrorThenEof) {
   // A client that never sends '\n' must not grow the server's buffer: past
   // the 1 MiB line cap it gets one error line and the connection closes.
-  serve::ServerOptions opts;
+  serve::ServerOptions opts = serverOptions();
   opts.tcpPort = 0;
   serve::VerifyServer server(opts);
   std::string err;
@@ -705,7 +714,7 @@ bool readToEof(int fd, std::string* received, double seconds = 5) {
 TEST(ServeSocket, ClosedConnectionsReleaseTheirDescriptors) {
   const std::string path =
       "/tmp/velev_serve_fds_" + std::to_string(::getpid()) + ".sock";
-  serve::ServerOptions opts;
+  serve::ServerOptions opts = serverOptions();
   opts.unixSocketPath = path;
   serve::VerifyServer server(opts);
   std::string err;
@@ -727,7 +736,7 @@ TEST(ServeSocket, ClosedConnectionsReleaseTheirDescriptors) {
 TEST(ServeSocket, ConnectionPastTheCapGetsOneErrorThenEof) {
   const std::string path =
       "/tmp/velev_serve_cap_" + std::to_string(::getpid()) + ".sock";
-  serve::ServerOptions opts;
+  serve::ServerOptions opts = serverOptions();
   opts.unixSocketPath = path;
   serve::VerifyServer server(opts);
   std::string err;
@@ -777,7 +786,7 @@ TEST(ServeSocket, ClientGoneBeforeItsAnswerStillReleasesItsDescriptor) {
   // job is done.
   const std::string path =
       "/tmp/velev_serve_gone_" + std::to_string(::getpid()) + ".sock";
-  serve::ServerOptions opts;
+  serve::ServerOptions opts = serverOptions();
   opts.unixSocketPath = path;
   serve::VerifyServer server(opts);
   std::string err;
@@ -1117,7 +1126,7 @@ TEST(ServePersist, WarmRestartServesFromJournal) {
 
   core::VerifyResponse fresh;
   {
-    serve::ServerOptions opts;
+    serve::ServerOptions opts = serverOptions();
     opts.cacheDir = dir;
     serve::VerifyServer a(opts);
     fresh = handle(a, req);
@@ -1127,7 +1136,7 @@ TEST(ServePersist, WarmRestartServesFromJournal) {
     a.stop();
   }
 
-  serve::ServerOptions opts;
+  serve::ServerOptions opts = serverOptions();
   opts.cacheDir = dir;
   serve::VerifyServer b(opts);
   EXPECT_GE(b.collector().counter("store.restored"), 1u);
@@ -1160,7 +1169,7 @@ TEST(ServePersist, GridAndDaemonShareOneStore) {
   const auto grid = core::runGrid(cells, gopts);
   ASSERT_EQ(grid.size(), cells.size());
 
-  serve::ServerOptions opts;
+  serve::ServerOptions opts = serverOptions();
   opts.cacheDir = dir;
   serve::VerifyServer server(opts);
   EXPECT_EQ(server.collector().counter("store.restored"), cells.size());
@@ -1209,7 +1218,7 @@ TEST(ServePersist, FallbackCellRestoresThroughTheStore) {
 
   // Each attempt is stored under its own request, so a daemon on the same
   // store answers the PE-only request with memout, not the retry's correct.
-  serve::ServerOptions opts;
+  serve::ServerOptions opts = serverOptions();
   opts.cacheDir = dir;
   serve::VerifyServer server(opts);
   const core::VerifyResponse asPe = handle(server, pe);
@@ -1226,9 +1235,8 @@ TEST(ServePersist, FallbackCellRestoresThroughTheStore) {
 // ---- worker pool: fault injection -------------------------------------------
 
 TEST(ServePool, CrashHookRequestIsRetriedOnSibling) {
-  serve::ServerOptions opts;
-  opts.workers = 2;
-  opts.workerExecutable = VELEV_SERVE_BIN;
+  serve::ServerOptions opts = serverOptions();
+  opts.jobs = 2;
   opts.workerCrashAfter = 1;  // slot 0 dies before answering its first job
   serve::VerifyServer server(opts);
 
@@ -1252,9 +1260,8 @@ TEST(ServePool, CrashHookRequestIsRetriedOnSibling) {
 }
 
 TEST(ServePool, SigkilledWorkerMidSolveRecovers) {
-  serve::ServerOptions opts;
-  opts.workers = 2;
-  opts.workerExecutable = VELEV_SERVE_BIN;
+  serve::ServerOptions opts = serverOptions();
+  opts.jobs = 2;
   serve::VerifyServer server(opts);
   ASSERT_TRUE(waitFor([] { return workerPids().size() >= 2; }));
 
@@ -1287,10 +1294,11 @@ TEST(ServePool, SigkilledWorkerMidSolveRecovers) {
 TEST(ServePool, RetriesExhaustedAnswerErrorNeverHang) {
   serve::WorkerPoolOptions po;
   po.executable = VELEV_SERVE_BIN;
-  po.workers = 1;
+  po.processes = 1;
   po.maxRetries = 0;  // one crash is terminal for the request...
   po.crashAfter = 1;
-  serve::WorkerPool pool(po);
+  trace::Collector collector;
+  serve::WorkerPool pool(po, collector);
   std::string err;
   ASSERT_TRUE(pool.start(&err)) << err;
 
@@ -1325,61 +1333,152 @@ TEST(ServePool, RetriesExhaustedAnswerErrorNeverHang) {
   EXPECT_EQ(s.inflight, 0u);
 }
 
-TEST(ServePool, BatchedResponsesMatchFreshSingleRequestVerifies) {
-  // One worker, batching on: occupy the worker with a slow job from a
-  // different lane, pile three same-lane requests (identical cell modulo
-  // ROB size — the paper's Table 5 column) into the queue, and check that
-  // every answer is verdict+counter identical to a fresh single-request
-  // verification. The equivalence gate holds on every attempt; the
-  // batches>=1 observation is timing-dependent, so the scenario retries
-  // with a fresh server until a batch is seen.
-  bool sawBatch = false;
-  for (int attempt = 0; attempt < 5 && !sawBatch; ++attempt) {
-    serve::ServerOptions opts;
-    opts.workers = 1;
-    opts.batch = true;
-    opts.workerExecutable = VELEV_SERVE_BIN;
-    serve::VerifyServer server(opts);
-
-    core::VerifyRequest slow = smallRequest(99);
-    slow.robSize = 16;
-    slow.engine = core::Engine::Both;  // different lane, slower job
-    core::VerifyResponse slowResp;
-    std::thread occupier([&] { slowResp = handle(server, slow); });
-    waitFor([&] { return server.collector().counter("serve.jobs") >= 1; });
-
-    constexpr int kLane = 3;
-    std::vector<std::thread> clients;
-    std::vector<core::VerifyResponse> resps(kLane);
-    for (int i = 0; i < kLane; ++i) {
-      core::VerifyRequest req = smallRequest(i + 1);
-      req.robSize = 2 + static_cast<unsigned>(i);
-      clients.emplace_back([&, req, i] { resps[i] = handle(server, req); });
-    }
-    for (auto& t : clients) t.join();
-    occupier.join();
-    EXPECT_TRUE(slowResp.error.empty()) << slowResp.error;
-
-    for (int i = 0; i < kLane; ++i) {
-      core::VerifyRequest req = smallRequest(i + 1);
-      req.robSize = 2 + static_cast<unsigned>(i);
-      const core::VerifyReport rep = core::verify(req);
-      EXPECT_TRUE(resps[i].error.empty()) << resps[i].error;
-      EXPECT_EQ(resps[i].verdict, rep.verdict());
-      EXPECT_EQ(resps[i].counters, core::reportCounters(rep));
-    }
-
-    std::string err;
-    const auto stats = parseJson(server.handleLine("{\"op\": \"stats\"}"));
-    ASSERT_TRUE(stats.has_value());
-    const JsonValue* counters = stats->find("counters");
-    ASSERT_NE(counters, nullptr);
-    sawBatch = counters->uintAt("serve.pool.batches_total") >= 1;
-    if (sawBatch) {
-      EXPECT_GE(counters->uintAt("serve.pool.batched_requests_total"), 2u);
-    }
+TEST(ServePool, OneWorkerAnswersATable5ColumnLikeFreshVerifies) {
+  // Three cells of one Table 5 column (same issue width and options, ROB
+  // 2, 3 and 4) through a single worker: its SolveMemo may replay the
+  // column's shared CNF, and every answer must still be identical in
+  // verdict and counters to a fresh core::verify of the same request.
+  serve::ServerOptions opts = serverOptions();
+  opts.jobs = 1;
+  serve::VerifyServer server(opts);
+  for (unsigned rob : {2u, 3u, 4u}) {
+    core::VerifyRequest req = smallRequest(rob);
+    req.robSize = rob;
+    const core::VerifyResponse resp = handle(server, req);
+    const core::VerifyReport rep = core::verify(req);
+    EXPECT_TRUE(resp.error.empty()) << resp.error;
+    EXPECT_FALSE(resp.cached);
+    EXPECT_EQ(resp.verdict, rep.verdict()) << "ROB " << rob;
+    EXPECT_EQ(resp.counters, core::reportCounters(rep)) << "ROB " << rob;
   }
-  EXPECT_TRUE(sawBatch);
+}
+
+/// Descriptor numbers open in process `pid` (Linux /proc).
+std::vector<int> fdsOf(pid_t pid) {
+  std::vector<int> fds;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           "/proc/" + std::to_string(pid) + "/fd"))
+    fds.push_back(std::stoi(entry.path().filename().string()));
+  return fds;
+}
+
+/// The socketpair fd a worker was started with: the argument after
+/// `--worker` on its command line.
+int workerFdArg(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/cmdline");
+  std::vector<std::string> argv;
+  for (std::string arg; std::getline(in, arg, '\0');) argv.push_back(arg);
+  for (std::size_t i = 0; i + 1 < argv.size(); ++i)
+    if (argv[i] == "--worker") return std::stoi(argv[i + 1]);
+  return -1;
+}
+
+TEST(ServePool, RespawnedWorkerHoldsOnlyItsSocketpair) {
+  // A worker (re)spawned while the daemon holds a listener, client
+  // connections and the result store must inherit none of them: a
+  // connection a worker still holds never reads EOF after the daemon
+  // closes it.
+  const std::string path =
+      "/tmp/velev_serve_fdleak_" + std::to_string(::getpid()) + ".sock";
+  serve::ServerOptions opts = serverOptions();
+  opts.unixSocketPath = path;
+  opts.cacheDir = freshDir("fdleak");
+  opts.jobs = 1;
+  opts.workerCrashAfter = 1;  // the first request forces a respawn
+  serve::VerifyServer server(opts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  // Two clients connected before the respawn; a pong proves each was
+  // accepted.
+  auto client = serve::Client::connect("unix:" + path, &err);
+  ASSERT_TRUE(client.has_value()) << err;
+  ASSERT_TRUE(client->roundTripLine(R"({"op": "ping"})", &err).has_value())
+      << err;
+  const int idle = connectUnixFd(path);
+  ASSERT_GE(idle, 0);
+  const std::string ping = "{\"op\": \"ping\"}\n";
+  ASSERT_EQ(::send(idle, ping.data(), ping.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(ping.size()));
+  char pong[256];
+  ASSERT_GT(::recv(idle, pong, sizeof pong, 0), 0);
+
+  const auto resp = client->roundTrip(smallRequest(), &err);
+  ASSERT_TRUE(resp.has_value()) << err;
+  EXPECT_TRUE(resp->error.empty()) << resp->error;
+  EXPECT_EQ(resp->verdict, core::Verdict::Correct);
+  ASSERT_GE(server.collector().counter("serve.worker.respawns"), 1u);
+
+  // The answer is written, so the respawned worker is idle in its read:
+  // stdio and its socketpair end are all it holds.
+  const std::vector<pid_t> pids = workerPids();
+  ASSERT_EQ(pids.size(), 1u);
+  const int sock = workerFdArg(pids.front());
+  const std::vector<int> fds = fdsOf(pids.front());
+  EXPECT_NE(std::find(fds.begin(), fds.end(), sock), fds.end());
+  for (int fd : fds)
+    EXPECT_TRUE(fd <= 2 || fd == sock) << "the worker holds fd " << fd;
+
+  // The idle client sends one request and half-closes: the daemon answers
+  // and closes its end, and with no worker holding a copy the client
+  // reads EOF.
+  const std::string line = compactJson(smallRequest(2).toJson()) + "\n";
+  ASSERT_EQ(::send(idle, line.data(), line.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(line.size()));
+  ::shutdown(idle, SHUT_WR);
+  std::string received;
+  EXPECT_TRUE(readToEof(idle, &received, 2)) << "no EOF within 2 s";
+  ::close(idle);
+  EXPECT_EQ(std::count(received.begin(), received.end(), '\n'), 1)
+      << received;
+  server.stop();
+}
+
+TEST(ServeServer, WithoutAWorkerExecutableStartFailsAndMissesAnswerErrors) {
+  // There is no in-process fallback: a server that cannot spawn a worker
+  // refuses to start, and a miss driven through handleLine answers an
+  // error instead of verifying.
+  serve::ServerOptions opts;
+  opts.tcpPort = 0;
+  serve::VerifyServer server(opts);
+  std::string err;
+  EXPECT_FALSE(server.start(&err));
+  EXPECT_FALSE(err.empty());
+  const core::VerifyResponse resp = handle(server, smallRequest(9));
+  EXPECT_EQ(resp.id, 9u);
+  EXPECT_FALSE(resp.error.empty());
+  EXPECT_EQ(resp.exitCode, 2);
+  EXPECT_EQ(server.cacheStats().entries, 0u);
+}
+
+TEST(ServeServer, MissesLeaveNoPerJobTraceInTheDaemon) {
+  // Jobs run in worker processes: a miss adds no span to the daemon's
+  // collector, and the stats op carries only the daemon's own serve.* and
+  // store.* counters — no verify-level gauge of whichever job ran last.
+  serve::ServerOptions opts = serverOptions();
+  opts.cacheDir = freshDir("notrace");
+  serve::VerifyServer server(opts);
+  const std::size_t spansBefore = server.collector().spans().size();
+  for (unsigned rob : {3u, 4u}) {
+    core::VerifyRequest req = smallRequest(rob);
+    req.robSize = rob;
+    const core::VerifyResponse resp = handle(server, req);
+    EXPECT_TRUE(resp.error.empty()) << resp.error;
+    EXPECT_FALSE(resp.cached);
+  }
+  EXPECT_EQ(server.cacheStats().misses, 2u);
+  EXPECT_EQ(server.collector().spans().size(), spansBefore);
+
+  std::string err;
+  const auto stats = parseJson(server.handleLine("{\"op\": \"stats\"}"), &err);
+  ASSERT_TRUE(stats.has_value()) << err;
+  const JsonValue* counters = stats->find("counters");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_TRUE(counters->isObject());
+  EXPECT_EQ(counters->uintAt("serve.jobs"), 2u);
+  for (const auto& [name, value] : counters->object)
+    EXPECT_TRUE(name.rfind("serve.", 0) == 0 || name.rfind("store.", 0) == 0)
+        << name << " = " << value.number;
 }
 
 // ---- live-load admission control --------------------------------------------
@@ -1389,7 +1488,7 @@ TEST(ServeAdmission, QueueDepthCapRejectsUnderLoad) {
   // arrives), so the cell grows until the rejection is observed.
   bool rejected = false;
   for (unsigned rob : {32u, 64u, 128u, 256u, 512u}) {
-    serve::ServerOptions opts;
+    serve::ServerOptions opts = serverOptions();
     opts.jobs = 1;
     opts.maxQueueDepth = 1;
     serve::VerifyServer server(opts);
@@ -1425,7 +1524,7 @@ TEST(ServeAdmission, QueueDepthCapRejectsUnderLoad) {
 TEST(ServeAdmission, PendingSecondsCapRejectsOverCommittedBudgets) {
   bool rejected = false;
   for (unsigned rob : {32u, 64u, 128u, 256u, 512u}) {
-    serve::ServerOptions opts;
+    serve::ServerOptions opts = serverOptions();
     opts.jobs = 2;
     opts.maxPendingSeconds = 5;
     serve::VerifyServer server(opts);

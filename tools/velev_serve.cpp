@@ -2,8 +2,7 @@
 //
 //   $ velev_serve --socket /tmp/velev.sock
 //   $ velev_serve --port 7341 --jobs 8
-//   $ velev_serve --socket /tmp/velev.sock --workers 4 --batch
-//                 --cache-dir /var/cache/velev   (one line)
+//   $ velev_serve --socket /tmp/velev.sock --jobs 4 --cache-dir /var/velev
 //
 // Listens on a unix-domain socket and/or 127.0.0.1 TCP for
 // newline-delimited JSON verification requests (core::VerifyRequest,
@@ -12,21 +11,17 @@
 // requests (same cell, same options, same binary) are answered from the
 // cache, and concurrent identical requests coalesce onto one running job.
 //
-// With --workers N the verifications run in N supervised worker PROCESSES
-// (the daemon re-execs itself with --worker): a verification that crashes
-// or is SIGKILLed costs one worker, the supervisor retries its in-flight
-// requests on a sibling and respawns the slot. Without it, jobs run
-// in-process on a work-stealing thread pool.
+// The verifications run in --jobs N supervised worker PROCESSES (the
+// daemon re-execs itself with --worker): a verification that crashes or is
+// SIGKILLed costs one worker, the supervisor retries its in-flight
+// requests on a sibling and respawns the slot.
 //
 // Options:
 //   --socket PATH     unix-domain listening socket (unlinked on exit)
 //   --port N          TCP port on 127.0.0.1; 0 picks an ephemeral port
 //                     (printed as "listening on 127.0.0.1:<port>")
-//   --jobs N          in-process pool workers (default: hardware threads;
-//                     unused with --workers)
-//   --workers N       verification worker processes (default 0: in-process)
-//   --batch           batching lane: group compatible queued requests
-//                     (same cell modulo ROB size) per worker dispatch
+//   --jobs N          verification worker processes (default: hardware
+//                     threads)
 //   --cache N         result-cache capacity in entries (default 1024)
 //   --cache-dir DIR   back the result cache with the result store in DIR
 //                     (DIR/results.jsonl, one VerifyResponse per line; the
@@ -125,12 +120,6 @@ int main(int argc, char** argv) {
     } else if (a == "--jobs") {
       opts.jobs = static_cast<unsigned>(std::atoi(next()));
       if (opts.jobs < 1) usage("--jobs must be >= 1");
-    } else if (a == "--workers") {
-      const int n = std::atoi(next());
-      if (n < 0) usage("--workers must be >= 0");
-      opts.workers = static_cast<unsigned>(n);
-    } else if (a == "--batch") {
-      opts.batch = true;
     } else if (a == "--cache") {
       const long n = std::atol(next());
       if (n < 1) usage("--cache must be >= 1 entries");
@@ -160,23 +149,21 @@ int main(int argc, char** argv) {
     usage("need a listener: --socket PATH and/or --port N");
   if (!havePort) opts.tcpPort = -1;
 
-  if (opts.workers > 0) {
-    // The workers are this very binary; /proc/self/exe survives renames
-    // and relative invocation, argv[0] is the fallback.
-    char exe[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof exe - 1);
-    if (n > 0) {
-      exe[n] = '\0';
-      opts.workerExecutable = exe;
-    } else {
-      opts.workerExecutable = argv[0];
-    }
-    // Fault-injection hook (CI smoke): armed once, then scrubbed from the
-    // environment so no worker — and no respawn — re-inherits it.
-    if (const char* crash = std::getenv("VELEV_SERVE_CRASH_AFTER")) {
-      opts.workerCrashAfter = std::atoi(crash);
-      ::unsetenv("VELEV_SERVE_CRASH_AFTER");
-    }
+  // The workers are this very binary; /proc/self/exe survives renames and
+  // relative invocation, argv[0] is the fallback.
+  char exe[4096];
+  const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof exe - 1);
+  if (n > 0) {
+    exe[n] = '\0';
+    opts.workerExecutable = exe;
+  } else {
+    opts.workerExecutable = argv[0];
+  }
+  // Fault-injection hook (CI smoke): armed once, then scrubbed from the
+  // environment so no worker — and no respawn — re-inherits it.
+  if (const char* crash = std::getenv("VELEV_SERVE_CRASH_AFTER")) {
+    opts.workerCrashAfter = std::atoi(crash);
+    ::unsetenv("VELEV_SERVE_CRASH_AFTER");
   }
 
   serve::VerifyServer server(opts);
@@ -195,13 +182,8 @@ int main(int argc, char** argv) {
       std::printf("listening on %s\n", opts.unixSocketPath.c_str());
     if (server.tcpPort() >= 0)
       std::printf("listening on 127.0.0.1:%d\n", server.tcpPort());
-    if (opts.workers > 0)
-      std::printf("workers: %u processes%s, cache: %zu entries\n",
-                  opts.workers, opts.batch ? " (batching)" : "",
-                  opts.cacheMaxEntries);
-    else
-      std::printf("jobs: %u, cache: %zu entries\n", opts.jobs,
-                  opts.cacheMaxEntries);
+    std::printf("workers: %u processes, cache: %zu entries\n", opts.jobs,
+                opts.cacheMaxEntries);
     if (!opts.cacheDir.empty())
       std::printf("result store: %s\n", opts.cacheDir.c_str());
     std::fflush(stdout);
