@@ -24,7 +24,8 @@ VerifyOptions VerifyRequest::options() const {
 }
 
 std::optional<std::string> VerifyRequest::validate() const {
-  if (robSize < 1) return "rob_size must be >= 1";
+  if (robSize < 1 || robSize > kMaxRobSize)
+    return "need 1 <= rob_size <= " + std::to_string(kMaxRobSize);
   if (issueWidth < 1 || issueWidth > robSize)
     return "need 1 <= issue_width <= rob_size";
   if (bug.kind != models::BugKind::None) {

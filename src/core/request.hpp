@@ -55,6 +55,11 @@ constexpr int kRequestSchemaVersion = 1;
 /// Version of the VerifyResponse JSON schema.
 constexpr int kResponseSchemaVersion = 1;
 
+/// Largest ROB size a request may ask for. The paper's largest cell is
+/// 1500 entries; the bound keeps a hostile request from keying (and then
+/// building) a model of billions of entries.
+constexpr unsigned kMaxRobSize = 4096;
+
 struct VerifyRequest {
   /// Client-chosen request id, echoed verbatim in the response so clients
   /// can pipeline requests on one connection. Not part of the cache key.
@@ -92,9 +97,9 @@ struct VerifyRequest {
   /// expansion is total: every VerifyRequest field lands in the options.
   VerifyOptions options() const;
 
-  /// Sanity-check field ranges (robSize >= 1, 1 <= issueWidth <= robSize,
-  /// bug index within models::bugIndexLimit). Returns nullopt when valid,
-  /// else a one-line diagnostic.
+  /// Sanity-check field ranges (1 <= robSize <= kMaxRobSize,
+  /// 1 <= issueWidth <= robSize, bug index within models::bugIndexLimit).
+  /// Returns nullopt when valid, else a one-line diagnostic.
   std::optional<std::string> validate() const;
 
   // -- JSON -------------------------------------------------------------------

@@ -17,10 +17,6 @@ std::uint64_t SolveMemo::key(const prop::Cnf& cnf,
        static_cast<std::uint64_t>(iopts.vivify),
        static_cast<std::uint64_t>(iopts.probe),
        static_cast<std::uint64_t>(iopts.varElim),
-       static_cast<std::uint64_t>(iopts.maxRounds),
-       static_cast<std::uint64_t>(iopts.elimOccLimit),
-       static_cast<std::uint64_t>(iopts.elimGrowth),
-       static_cast<std::uint64_t>(iopts.elimBySubstitution),
        iopts.vivifyTickLimit, iopts.probeTickLimit});
   for (const prop::Clause& c : cnf.clauses) {
     h = hashCombine(h, c.size());

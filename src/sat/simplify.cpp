@@ -13,6 +13,15 @@ namespace {
 using prop::Clause;
 using prop::CnfLit;
 
+/// Pipeline rounds (the pipeline stops early at a fixpoint).
+constexpr unsigned kMaxRounds = 3;
+/// Variable elimination is skipped when either polarity of the variable
+/// occurs in more than this many clauses (keeps the pass near-linear).
+constexpr unsigned kElimOccLimit = 24;
+/// Elimination is performed only if it does not add more than this many
+/// clauses net (0 = NiVER: never grow the database).
+constexpr unsigned kElimGrowth = 0;
+
 /// The in-flight clause database. Clauses are immutable once added: every
 /// strengthening/substitution kills the old index and appends a new one, so
 /// occurrence lists are exact up to a liveness check and the passes never
@@ -43,7 +52,7 @@ class Simplifier {
   SimplifyResult run() {
     TRACE_SPAN("sat.inprocess");
     propagateUnits();
-    for (unsigned round = 0; round < opts_.maxRounds && !done(); ++round) {
+    for (unsigned round = 0; round < kMaxRounds && !done(); ++round) {
       ++stats_.rounds;
       const std::uint64_t before = mutations_;
       if (opts_.substitute) runPass(kSubstitute, &Simplifier::substitutePass);
@@ -770,14 +779,17 @@ class Simplifier {
       for (const std::uint32_t ci : occ_[litIdx(-static_cast<CnfLit>(v))])
         if (live_[ci] != 0) neg.push_back(ci);
       if (pos.empty() && neg.empty()) continue;  // unconstrained already
-      if (pos.size() > opts_.elimOccLimit || neg.size() > opts_.elimOccLimit)
-        continue;
+      if (pos.size() > kElimOccLimit || neg.size() > kElimOccLimit) continue;
 
       // The (pos, neg) clause pairs to resolve: the full cross product, or
       // only the gate-side × non-gate-side pairs when v is gate-defined.
+      // That is elimination by substitution (SatELite): when v is defined by
+      // an AND-style Tseitin gate, the other resolvents are implied, so the
+      // growth bound passes on the definitional variables the AIG
+      // translation mass-produces.
       Gate gate;
       pairs_.clear();
-      if (opts_.elimBySubstitution && findGate(v, pos, neg, gate)) {
+      if (findGate(v, pos, neg, gate)) {
         const auto isGateClause = [&](std::uint32_t ci) {
           return ci == gate.def ||
                  std::find(gate.bins.begin(), gate.bins.end(), ci) !=
@@ -808,7 +820,7 @@ class Simplifier {
           if (l != -static_cast<CnfLit>(v)) r.push_back(l);
         if (!normalize(r)) continue;  // tautological resolvent
         resolvents.push_back(std::move(r));
-        if (resolvents.size() > pos.size() + neg.size() + opts_.elimGrowth) {
+        if (resolvents.size() > pos.size() + neg.size() + kElimGrowth) {
           tooMany = true;
           break;
         }

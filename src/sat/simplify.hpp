@@ -58,18 +58,6 @@ struct InprocessOptions {
   bool vivify = true;      // clause vivification
   bool probe = true;       // failed-literal probing
   bool varElim = true;     // bounded variable elimination
-  unsigned maxRounds = 3;  // pipeline rounds (stops early at a fixpoint)
-  /// Variable elimination is skipped when either polarity of the variable
-  /// occurs in more than this many clauses (keeps the pass near-linear).
-  unsigned elimOccLimit = 24;
-  /// Elimination is performed only if it does not add more than this many
-  /// clauses net (0 = NiVER: never grow the database).
-  unsigned elimGrowth = 0;
-  /// Eliminate gate-defined variables by substitution (SatELite): when v is
-  /// functionally defined by an AND-style Tseitin gate, only gate × non-gate
-  /// resolvents are generated — the rest are implied — so the growth bound
-  /// passes on the definitional variables the AIG translation mass-produces.
-  bool elimBySubstitution = true;
   /// Deterministic work caps (logical "ticks": propagating a literal costs
   /// the number of clauses ever attached to it), so budget-capped verdicts
   /// stay machine-independent.

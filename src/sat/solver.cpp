@@ -28,10 +28,6 @@ std::int64_t luby(std::int64_t x) {
 
 }  // namespace
 
-Solver::Solver(Options opts) : opts_(opts) {
-  conflictsUntilReduce_ = opts_.reduceBase;
-}
-
 void Solver::ensureVars(std::uint32_t numVars) {
   while (nVars_ < numVars) {
     const Var v = static_cast<Var>(nVars_++);
@@ -395,7 +391,7 @@ Result Solver::solve(std::int64_t conflictBudget) {
   if (!okay_) return Result::Unsat;
   backtrack(0);  // a repeated call: drop the previous model
   std::int64_t restartNum = 0;
-  std::int64_t conflictsLeftInRestart = luby(restartNum) * opts_.lubyUnit;
+  std::int64_t conflictsLeftInRestart = luby(restartNum) * kLubyUnit;
   std::vector<Lit> learnt;
 
   for (;;) {
@@ -431,7 +427,7 @@ Result Solver::solve(std::int64_t conflictBudget) {
       if (--conflictsUntilReduce_ <= 0) {
         reduceDb();
         conflictsUntilReduce_ =
-            opts_.reduceBase + (++reduceCount_) * opts_.reduceIncrement;
+            kReduceBase + (++reduceCount_) * kReduceIncrement;
       }
       continue;
     }
@@ -439,7 +435,7 @@ Result Solver::solve(std::int64_t conflictBudget) {
       ++stats_.restarts;
       backtrack(0);
       ++restartNum;
-      conflictsLeftInRestart = luby(restartNum) * opts_.lubyUnit;
+      conflictsLeftInRestart = luby(restartNum) * kLubyUnit;
       continue;
     }
     const Lit next = pickBranchLit();

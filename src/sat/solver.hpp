@@ -28,14 +28,6 @@ namespace velev::sat {
 
 enum class Result { Sat, Unsat, Unknown };
 
-struct Options {
-  double varDecay = 0.95;
-  double clauseActivityDecay = 0.999;
-  int lubyUnit = 512;          // conflicts per restart-unit
-  int reduceBase = 2000;       // conflicts before first DB reduction
-  int reduceIncrement = 300;   // growth of the reduction interval
-};
-
 struct Stats {
   std::uint64_t decisions = 0;
   std::uint64_t propagations = 0;
@@ -48,8 +40,6 @@ struct Stats {
 
 class Solver {
  public:
-  explicit Solver(Options opts = {});
-
   /// Add `n` fresh variables (DIMACS indices continue densely).
   void ensureVars(std::uint32_t numVars);
   std::uint32_t numVars() const { return static_cast<std::uint32_t>(nVars_); }
@@ -159,13 +149,17 @@ class Solver {
 
   // ---- VSIDS heap ----------------------------------------------------------
   void bumpVar(Var v);
-  void decayVarActivity() { varInc_ /= opts_.varDecay; }
+  void decayVarActivity() { varInc_ /= kVarDecay; }
   void heapInsert(Var v);
   Var heapPop();
   void heapDecrease(Var v);  // activity increased -> move up
   bool heapContains(Var v) const { return heapPos_[v] != -1; }
 
-  Options opts_;
+  static constexpr double kVarDecay = 0.95;     // VSIDS activity decay
+  static constexpr int kLubyUnit = 512;         // conflicts per restart unit
+  static constexpr int kReduceBase = 2000;      // conflicts before reduceDb
+  static constexpr int kReduceIncrement = 300;  // growth of that interval
+
   Stats stats_;
 
   std::size_t nVars_ = 0;
@@ -193,7 +187,7 @@ class Solver {
   std::vector<Lit> analyzeStack_;
 
   bool okay_ = true;
-  std::int64_t conflictsUntilReduce_ = 0;
+  std::int64_t conflictsUntilReduce_ = kReduceBase;
   int reduceCount_ = 0;
 
   BudgetGovernor* budget_ = nullptr;

@@ -16,8 +16,8 @@
 //               coalesce onto ONE running job.
 //
 // Waiters are callbacks, not blocking futures, on purpose: a job's answer
-// arrives on a worker pool reader thread, and that thread blocking on a
-// sibling job's future would stop reading the answers it waits for.
+// arrives on a worker pool slot thread, and that thread blocking on a
+// sibling job's future could wait for a job only its own slot would run.
 // fulfill() invokes the waiters OUTSIDE the cache lock (a waiter writes to
 // a socket or fulfills a promise — never reenters the cache).
 //

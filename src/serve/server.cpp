@@ -395,8 +395,8 @@ std::string VerifyServer::dispatchLine(const std::string& line,
 
 std::string VerifyServer::handleLine(const std::string& line) {
   // The synchronous face of dispatchLine(): park the response in a
-  // promise. Safe from any thread but a pool reader (one waiting here
-  // would never read the answer it waits for).
+  // promise. Safe from any thread but a pool slot thread (one waiting here
+  // could wait for a job only its own slot would run).
   auto promise = std::make_shared<std::promise<core::VerifyResponse>>();
   std::future<core::VerifyResponse> future = promise->get_future();
   const std::string direct = dispatchLine(

@@ -22,7 +22,7 @@
 // into a timeout/memout verdict in the response, exactly like the CLI.
 // Results route through the content-addressed ResultCache: identical
 // in-flight requests coalesce onto one running job (waiter callbacks, not
-// blocking futures — a job's answer arrives on a pool reader thread, which
+// blocking futures — a job's answer arrives on a pool slot thread, which
 // must never block), and finished results are served as cache hits.
 // Wall-clock Timeout verdicts are never cached: whether a deadline trips
 // depends on machine load, so freezing one would replay a

@@ -1,10 +1,12 @@
 #include "serve/supervisor.hpp"
 
-#include <sys/socket.h>
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
+#include <cmath>
+#include <csignal>
 #include <utility>
 
 #include "support/json.hpp"
@@ -22,6 +24,9 @@ constexpr double kRetryBackoffSeconds = 0.02;
 /// How long a freshly spawned worker has to answer the ping handshake.
 constexpr int kSpawnHandshakeMs = 10000;
 
+constexpr const char* kAllWorkersLost =
+    "internal error: all verification workers lost";
+
 /// Respawn delay after `consecutiveCrashes` (>= 1) crashes, capped without
 /// overflow: 2^min(n, 10) steps.
 double crashBackoff(unsigned consecutiveCrashes) {
@@ -37,6 +42,14 @@ core::VerifyResponse crashError(const core::VerifyRequest& req,
                   std::to_string(attempts) + " attempts)");
 }
 
+/// Ends one worker life: SIGKILL unless the pool is stopping (then the EOF
+/// of the close makes the worker exit 0), close, reap.
+void retire(pid_t pid, int fd, bool kill) {
+  if (kill) ::kill(pid, SIGKILL);
+  ::close(fd);
+  reapProcess(pid, /*block=*/true);
+}
+
 }  // namespace
 
 WorkerPool::WorkerPool(WorkerPoolOptions opts, trace::Collector& collector)
@@ -47,43 +60,48 @@ WorkerPool::WorkerPool(WorkerPoolOptions opts, trace::Collector& collector)
 WorkerPool::~WorkerPool() { stop(); }
 
 bool WorkerPool::start(std::string* error) {
-  std::unique_lock<std::mutex> lk(mutex_);
+  std::lock_guard<std::mutex> lk(mutex_);
   if (started_) return true;
-  if (opts_.executable.empty()) {
-    if (error != nullptr) *error = "worker pool: no executable configured";
+  const auto fail = [&](const std::string& why) {
+    if (error != nullptr) *error = "worker pool: " + why;
+    for (const Slot& s : slots_)
+      if (s.wake >= 0) ::close(s.wake);
+    slots_.clear();
     return false;
-  }
-  workers_.clear();
-  for (unsigned i = 0; i < opts_.processes; ++i)
-    workers_.push_back(std::make_unique<Worker>());
-
-  unsigned alive = 0;
+  };
+  if (opts_.executable.empty()) return fail("no executable configured");
+  // Every wake fd exists before any slot thread runs: a thread may wake any.
+  slots_ = std::vector<Slot>(opts_.processes);
+  for (Slot& s : slots_)
+    if ((s.wake = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) < 0)
+      return fail("cannot create an eventfd");
+  std::vector<std::optional<Worker>> workers;
   std::string firstErr;
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
     std::string err;
-    if (spawnWorkerLocked(i, /*first=*/true, lk, &err))
-      ++alive;
+    workers.push_back(spawnWorker(i, /*first=*/true, &err));
+    slots_[i].idle = workers.back().has_value();
+    if (slots_[i].idle)
+      ++stats_.aliveWorkers;
     else if (firstErr.empty())
       firstErr = err;
   }
-  if (alive == 0) {
-    if (error != nullptr)
-      *error = "worker pool: no worker could be spawned: " + firstErr;
-    workers_.clear();  // no spawn succeeded, so no reader threads exist
-    return false;
-  }
+  if (stats_.aliveWorkers == 0)
+    return fail("no worker could be spawned: " + firstErr);
   started_ = true;
   draining_ = false;
   stopping_ = false;
-  dispatcher_ = std::thread([this] { dispatcherLoop(); });
+  abandoned_ = 0;
+  for (std::size_t i = 0; i < slots_.size(); ++i)
+    slots_[i].thread = std::thread(
+        [this, i, w = std::move(workers[i])]() mutable {
+          slotLoop(i, std::move(w));
+        });
   return true;
 }
 
-bool WorkerPool::spawnWorkerLocked(std::size_t slot, bool first,
-                                   std::unique_lock<std::mutex>& lk,
-                                   std::string* error) {
-  Worker& w = *workers_[slot];
-  w.spawning = true;
+std::optional<WorkerPool::Worker> WorkerPool::spawnWorker(
+    std::size_t slot, bool first, std::string* error) {
   std::vector<std::string> args = {"--worker", kSubprocessFdArg};
   // The crash hook arms exactly one worker exactly once; its replacement
   // is a normal worker, so the crashed request's retry succeeds.
@@ -91,239 +109,189 @@ bool WorkerPool::spawnWorkerLocked(std::size_t slot, bool first,
     args.emplace_back("--crash-after");
     args.emplace_back(std::to_string(opts_.crashAfter));
   }
+  const Subprocess sp =
+      spawnWithSocket(opts_.executable, std::move(args), error);
+  if (!sp.ok()) return std::nullopt;
+  Worker w{sp.pid, sp.fd, FdLineReader(sp.fd)};
+  std::string pong;
+  if (writeLineFd(w.fd, "{\"op\": \"ping\"}") &&
+      waitReadable(w.fd, kSpawnHandshakeMs) && w.reader.next(&pong))
+    return w;
+  if (error != nullptr) *error = "worker handshake timed out";
+  retire(w.pid, w.fd, /*kill=*/true);
+  return std::nullopt;
+}
 
-  lk.unlock();
-  if (w.reader.joinable()) w.reader.join();  // reader of the previous life
-  std::string err;
-  Subprocess sp = spawnWithSocket(opts_.executable, std::move(args), &err);
-  bool ok = sp.ok();
-  if (ok) {
-    ok = writeLineFd(sp.fd, "{\"op\": \"ping\"}") &&
-         waitReadable(sp.fd, kSpawnHandshakeMs);
-    if (ok) {
-      // The worker writes nothing after the pong until it is sent work,
-      // so this throwaway reader cannot swallow response bytes.
-      FdLineReader handshake(sp.fd);
-      std::string pong;
-      ok = handshake.next(&pong);
+void WorkerPool::slotLoop(std::size_t slot, std::optional<Worker> w) {
+  unsigned crashes = w ? 0 : 1;  // consecutive crashes and failed spawns
+  std::uint64_t wireId = 0;
+  for (;;) {
+    if (!w) {
+      if (crashes > kMaxRespawns) return abandonSlot();
+      for (const double until = now() + crashBackoff(crashes);
+           !stopping_ && now() < until;)
+        sleep(slot, -1, until - now());
+      if (stopping_) return;
+      w = spawnWorker(slot, /*first=*/false, nullptr);
+      if (!w) {
+        ++crashes;
+        continue;
+      }
+      collector_.addCounter("serve.worker.respawns", 1);
+      std::lock_guard<std::mutex> lk(mutex_);
+      ++stats_.respawns;
+      ++stats_.aliveWorkers;
     }
-    if (!ok) {
-      err = "worker handshake timed out";
-      ::close(sp.fd);
-      reapProcess(sp.pid, /*block=*/true);
+
+    Ticket t;
+    const Next next = nextTicket(slot, w->fd, &t);
+    if (next == Next::Stop) break;
+    std::optional<core::VerifyResponse> resp;
+    if (next == Next::Ticket) {
+      core::VerifyRequest wire = t.req;
+      wire.id = ++wireId;  // matches the answer even if clients reuse ids
+      std::string line;
+      if (writeLineFd(w->fd, compactJson(wire.toJson())) &&
+          w->reader.next(&line)) {
+        resp = core::VerifyResponse::parse(line);
+        if (!resp || resp->id != wireId) {
+          collector_.addCounter("serve.worker.badline", 1);
+          resp.reset();
+        }
+      }
     }
-  }
-  lk.lock();
-  w.spawning = false;
-  if (!ok) {
-    if (error != nullptr) *error = err;
-    ++w.consecutiveCrashes;
-    if (w.consecutiveCrashes > kMaxRespawns) {
-      w.abandoned = true;
-      collector_.addCounter("serve.worker.abandoned", 1);
-    } else {
-      w.respawnAt = now() + crashBackoff(w.consecutiveCrashes);
+    if (resp) {
+      crashes = 0;  // a finished answer ends the streak
+      {
+        std::lock_guard<std::mutex> lk(mutex_);
+        --stats_.inflight;
+      }
+      drainCv_.notify_all();
+      resp->id = t.req.id;
+      if (t.done) t.done(*resp);
+      continue;
     }
-    return false;
+
+    // The worker died idle or failed its ticket: end it for good (one that
+    // wrote a bad line may still run), then retry or fail the ticket.
+    retire(w->pid, w->fd, /*kill=*/true);
+    w.reset();
+    ++crashes;
+    collector_.addCounter("serve.worker.crashes", 1);
+    std::unique_lock<std::mutex> lk(mutex_);
+    ++stats_.crashes;
+    --stats_.aliveWorkers;
+    if (next != Next::Ticket) continue;
+    --stats_.inflight;
+    if (++t.attempts <= opts_.maxRetries) {
+      t.notBefore =
+          now() + kRetryBackoffSeconds * static_cast<double>(t.attempts);
+      ++stats_.retries;
+      collector_.addCounter("serve.pool.retries", 1);
+      queue_.push_front(std::move(t));  // it was admitted first
+      wakeFirstIdleLocked();
+      continue;
+    }
+    ++stats_.failed;
+    collector_.addCounter("serve.pool.failed", 1);
+    lk.unlock();
+    drainCv_.notify_all();
+    if (t.done) t.done(crashError(t.req, t.attempts));
   }
-  w.pid = sp.pid;
-  w.fd = sp.fd;
-  w.alive = true;
-  w.respawnAt = 0;
-  w.reader = std::thread([this, slot] { readerLoop(slot); });
-  if (!first) {
-    ++stats_.respawns;
-    collector_.addCounter("serve.worker.respawns", 1);
+  retire(w->pid, w->fd, /*kill=*/false);
+  std::lock_guard<std::mutex> lk(mutex_);
+  --stats_.aliveWorkers;
+}
+
+WorkerPool::Next WorkerPool::nextTicket(std::size_t slot, int workerFd,
+                                        Ticket* t) {
+  bool gone = false;
+  for (;;) {
+    double wait = -1;  // until woken
+    {
+      std::lock_guard<std::mutex> lk(mutex_);
+      if (stopping_) return Next::Stop;
+      slots_[slot].idle = !gone;
+      // Only the lowest idle slot takes tickets, so an idle pool hands work
+      // to slot 0 first; it waits out the earliest retry backoff.
+      const bool first =
+          std::none_of(slots_.begin(), slots_.begin() + slot,
+                       [](const Slot& s) { return s.idle; });
+      const double at = now();
+      for (auto it = queue_.begin(); first && !gone && it != queue_.end();
+           ++it) {
+        if (it->notBefore <= at) {
+          *t = std::move(*it);
+          queue_.erase(it);
+          ++stats_.inflight;
+          ++stats_.dispatched;
+          slots_[slot].idle = false;
+          break;
+        }
+        if (wait < 0 || it->notBefore - at < wait) wait = it->notBefore - at;
+      }
+      if (!slots_[slot].idle) {
+        if (!queue_.empty()) wakeFirstIdleLocked();  // hand on the rest
+        return gone ? Next::WorkerGone : Next::Ticket;
+      }
+    }
+    // An idle worker writes nothing, so a readable socket means it died.
+    gone = sleep(slot, workerFd, wait);
   }
-  return true;
+}
+
+bool WorkerPool::sleep(std::size_t slot, int workerFd, double seconds) {
+  pollfd fds[2] = {{slots_[slot].wake, POLLIN, 0}, {workerFd, POLLIN, 0}};
+  const int ms =
+      seconds < 0 ? -1 : static_cast<int>(std::ceil(seconds * 1000.0));
+  if (::poll(fds, 2, ms) <= 0) return false;  // poll skips a negative fd
+  if (fds[0].revents != 0) {
+    eventfd_t drained;
+    ::eventfd_read(fds[0].fd, &drained);
+  }
+  return fds[1].revents != 0;
+}
+
+void WorkerPool::abandonSlot() {
+  collector_.addCounter("serve.worker.abandoned", 1);
+  std::deque<Ticket> doomed;
+  {
+    std::lock_guard<std::mutex> lk(mutex_);
+    // The last slot gone: nobody will ever run the queue — fail it.
+    if (++abandoned_ < slots_.size()) return;
+    doomed.swap(queue_);
+    stats_.failed += doomed.size();
+  }
+  if (doomed.empty()) return;
+  collector_.addCounter("serve.pool.failed", doomed.size());
+  drainCv_.notify_all();
+  for (Ticket& t : doomed)
+    if (t.done)
+      t.done(core::VerifyResponse::makeError(t.req.id, kAllWorkersLost));
+}
+
+void WorkerPool::wakeFirstIdleLocked() {
+  const auto it = std::find_if(slots_.begin(), slots_.end(),
+                               [](const Slot& s) { return s.idle; });
+  if (it != slots_.end()) ::eventfd_write(it->wake, 1);
 }
 
 void WorkerPool::submit(const core::VerifyRequest& req, Done done) {
+  const char* refusal = "server shutting down";
   {
     std::lock_guard<std::mutex> lk(mutex_);
-    if (started_ && !draining_ && !stopping_) {
-      Ticket t;
-      t.req = req;
-      t.done = std::move(done);
-      queue_.push_back(std::move(t));
-      cv_.notify_all();
-      return;
-    }
-  }
-  if (done)
-    done(core::VerifyResponse::makeError(req.id, "server shutting down"));
-}
-
-void WorkerPool::readerLoop(std::size_t slot) {
-  int fd = -1;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    fd = workers_[slot]->fd;
-  }
-  FdLineReader reader(fd);
-  std::string line;
-  while (reader.next(&line)) {
-    if (line.empty()) continue;
-    std::optional<core::VerifyResponse> resp =
-        core::VerifyResponse::parse(line);
-    if (!resp.has_value()) {
-      collector_.addCounter("serve.worker.badline", 1);
-      continue;
-    }
-    Ticket t;
-    bool found = false;
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      Worker& w = *workers_[slot];
-      const auto it = w.inflight.find(resp->id);
-      if (it != w.inflight.end()) {
-        t = std::move(it->second);
-        w.inflight.erase(it);
-        found = true;
-        w.consecutiveCrashes = 0;  // a finished answer ends the streak
+    if (started_ && !draining_) {
+      if (abandoned_ < slots_.size()) {
+        queue_.push_back(Ticket{req, std::move(done)});
+        wakeFirstIdleLocked();
+        return;
       }
-    }
-    cv_.notify_all();
-    drainCv_.notify_all();
-    if (!found) continue;
-    resp->id = t.req.id;  // un-stamp the supervisor wire id
-    if (t.done) t.done(*resp);
-  }
-  onWorkerDeath(slot);
-}
-
-void WorkerPool::onWorkerDeath(std::size_t slot) {
-  std::vector<Ticket> doomed;
-  pid_t pid = -1;
-  bool crashed = false;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    Worker& w = *workers_[slot];
-    if (!w.alive) return;
-    w.alive = false;
-    pid = w.pid;
-    w.pid = -1;
-    if (w.fd >= 0) {
-      ::close(w.fd);
-      w.fd = -1;
-    }
-    std::map<std::uint64_t, Ticket> inflight = std::move(w.inflight);
-    w.inflight.clear();
-    crashed = !stopping_;
-    if (crashed) {
-      ++stats_.crashes;
-      collector_.addCounter("serve.worker.crashes", 1);
-      ++w.consecutiveCrashes;
-      if (w.consecutiveCrashes > kMaxRespawns) {
-        w.abandoned = true;
-        collector_.addCounter("serve.worker.abandoned", 1);
-      } else {
-        w.respawnAt = now() + crashBackoff(w.consecutiveCrashes);
-      }
-    }
-    // In-flight tickets: retry on a sibling (front of the queue — they
-    // were admitted first) or, past the retry budget, fail. A clean stop
-    // should never see in-flight work (stop() drains first), but if it
-    // does, failing beats hanging.
-    for (auto& [wid, t] : inflight) {
-      ++t.attempts;
-      if (crashed && t.attempts <= opts_.maxRetries) {
-        t.notBefore =
-            now() + kRetryBackoffSeconds * static_cast<double>(t.attempts);
-        ++stats_.retries;
-        collector_.addCounter("serve.pool.retries", 1);
-        queue_.push_front(std::move(t));
-      } else {
-        ++stats_.failed;
-        collector_.addCounter("serve.pool.failed", 1);
-        doomed.push_back(std::move(t));
-      }
+      refusal = kAllWorkersLost;
+      ++stats_.failed;
+      collector_.addCounter("serve.pool.failed", 1);
     }
   }
-  if (pid > 0) reapProcess(pid, /*block=*/true);
-  cv_.notify_all();
-  drainCv_.notify_all();
-  for (Ticket& t : doomed)
-    if (t.done) t.done(crashError(t.req, t.attempts));
-}
-
-void WorkerPool::dispatcherLoop() {
-  std::unique_lock<std::mutex> lk(mutex_);
-  while (!stopping_) {
-    const double t = now();
-    bool didWork = false;
-
-    // 1. Respawn slots whose backoff has elapsed.
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      Worker& w = *workers_[i];
-      if (w.alive || w.abandoned || w.spawning || w.respawnAt > t) continue;
-      spawnWorkerLocked(i, /*first=*/false, lk, nullptr);
-      if (stopping_) return;  // stop() raced in while the lock was down
-      didWork = true;
-    }
-
-    // 2. Every slot abandoned: nobody will ever run the queue — fail it.
-    bool anyUsable = false;
-    for (const auto& w : workers_)
-      if (!w->abandoned) {
-        anyUsable = true;
-        break;
-      }
-    if (!anyUsable && !queue_.empty()) {
-      std::deque<Ticket> doomed = std::move(queue_);
-      queue_.clear();
-      stats_.failed += doomed.size();
-      collector_.addCounter("serve.pool.failed", doomed.size());
-      drainCv_.notify_all();
-      lk.unlock();
-      for (Ticket& tk : doomed)
-        if (tk.done)
-          tk.done(core::VerifyResponse::makeError(
-              tk.req.id, "internal error: all verification workers lost"));
-      lk.lock();
-      continue;
-    }
-
-    // 3. Assign work to idle live workers. Writes happen under the lock:
-    //    a worker has at most one request outstanding, far below the
-    //    socketpair buffer, so these writes never block.
-    for (std::size_t i = 0; i < workers_.size() && !queue_.empty(); ++i) {
-      Worker& w = *workers_[i];
-      if (!w.alive || !w.inflight.empty() || w.spawning) continue;
-      const auto ready = std::find_if(
-          queue_.begin(), queue_.end(),
-          [t](const Ticket& tk) { return tk.notBefore <= t; });
-      if (ready == queue_.end()) break;  // nothing ready before its backoff
-
-      core::VerifyRequest copy = ready->req;
-      copy.id = nextWireId_;
-      ++stats_.dispatched;
-      w.inflight.emplace(nextWireId_++, std::move(*ready));
-      queue_.erase(ready);
-      // A failed write means the worker is dying: its reader sees EOF
-      // and retries the ticket.
-      writeLineFd(w.fd, compactJson(copy.toJson()));
-      didWork = true;
-    }
-
-    // 4. Drain signal for stop().
-    std::uint64_t inflight = 0;
-    for (const auto& w : workers_) inflight += w->inflight.size();
-    if (queue_.empty() && inflight == 0) drainCv_.notify_all();
-
-    if (didWork) continue;
-
-    // 5. Sleep until the next deadline (respawn or retry backoff), with a
-    //    0.5 s heartbeat as a safety net.
-    double next = t + 0.5;
-    for (const auto& w : workers_)
-      if (!w->alive && !w->abandoned && !w->spawning && w->respawnAt > t)
-        next = std::min(next, w->respawnAt);
-    for (const auto& tk : queue_)
-      if (tk.notBefore > t) next = std::min(next, tk.notBefore);
-    const double waitS = std::max(1e-3, next - now());
-    cv_.wait_for(lk, std::chrono::duration<double>(waitS));
-  }
+  if (done) done(core::VerifyResponse::makeError(req.id, refusal));
 }
 
 void WorkerPool::stop() {
@@ -331,27 +299,18 @@ void WorkerPool::stop() {
     std::unique_lock<std::mutex> lk(mutex_);
     if (!started_) return;
     draining_ = true;
-    cv_.notify_all();
     drainCv_.wait(lk, [this] {
-      if (!queue_.empty()) return false;
-      for (const auto& w : workers_)
-        if (!w->inflight.empty()) return false;
-      return true;
+      return queue_.empty() && stats_.inflight == 0;
     });
     stopping_ = true;
-    cv_.notify_all();
+    for (const Slot& s : slots_) ::eventfd_write(s.wake, 1);
   }
-  dispatcher_.join();
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    // close() alone does not wake a thread blocked in read(); shutdown()
-    // does — the same trick the server uses on client connections.
-    for (const auto& w : workers_)
-      if (w->fd >= 0) ::shutdown(w->fd, SHUT_RDWR);
+  for (Slot& s : slots_) {
+    s.thread.join();
+    ::close(s.wake);
   }
-  for (const auto& w : workers_)
-    if (w->reader.joinable()) w->reader.join();
   std::lock_guard<std::mutex> lk(mutex_);
+  slots_.clear();
   started_ = false;
 }
 
@@ -359,12 +318,6 @@ WorkerPool::Stats WorkerPool::stats() const {
   std::lock_guard<std::mutex> lk(mutex_);
   Stats s = stats_;
   s.queued = queue_.size();
-  s.inflight = 0;
-  s.aliveWorkers = 0;
-  for (const auto& w : workers_) {
-    s.inflight += w->inflight.size();
-    if (w->alive) ++s.aliveWorkers;
-  }
   return s;
 }
 

@@ -10,36 +10,43 @@
 //
 // FAILURE PROTOCOL (the reason this class exists):
 //   * death detection — a dead worker's socketpair end is closed by the
-//     kernel, so its reader thread wakes with EOF; no signals, no polling;
-//   * retry — the dead worker's in-flight tickets are re-queued at the
-//     FRONT of the queue (they were admitted first) with attempts+1 and a
-//     small per-attempt backoff (20 ms per attempt); a ticket that has
-//     crashed 1+maxRetries workers is answered with an InternalError
-//     response — a client is never left hanging;
+//     kernel, so its slot thread reads EOF (or, while idle, polls it
+//     readable); no signal handlers. A failed write, or an answer that is
+//     not a VerifyResponse carrying the request's wire id, is handled the
+//     same way: the worker is SIGKILLed and reaped;
+//   * retry — the ticket the worker held is re-queued at the FRONT of the
+//     queue (it was admitted first) with attempts+1 and a small
+//     per-attempt backoff (20 ms per attempt); a ticket that has crashed
+//     1+maxRetries workers is answered with an InternalError response — a
+//     client is never left hanging;
 //   * respawn — the slot is respawned with exponential backoff (doubling
-//     from 50 ms, capped at 2 s); after 8 CONSECUTIVE crashes the slot is
-//     abandoned (a successful response resets the streak). If every slot
-//     is abandoned, queued work is failed with InternalError rather than
-//     queued forever.
+//     from 50 ms, capped at 2 s); after 8 CONSECUTIVE crashes or failed
+//     spawns the slot is abandoned (a successful response resets the
+//     streak). If every slot is abandoned, queued work is failed with
+//     InternalError rather than queued forever.
 //
 // A worker runs one request at a time. Its per-process sat::SolveMemo
 // replays the bit-identical rewritten CNF of a Table 5 column (same issue
 // width, bug, strategy and budgets, any ROB size) whenever the column's
 // requests reach the same worker.
 //
-// Thread model: submit() enqueues; one dispatcher thread assigns tickets
-// to idle live workers and handles respawn scheduling; one reader thread
-// per worker parses responses and fires the Done callbacks (outside the
-// pool lock — a Done writes to a client socket or fulfills a promise).
+// Thread model: submit() only enqueues. One thread per slot owns that
+// slot's worker end to end: it spawns it (ping handshake), takes a ticket,
+// writes the request, reads the one answer line, fires the Done callback
+// (outside the pool lock — a Done writes to a client socket or fulfills a
+// promise), and respawns the worker after a failure. An idle slot thread
+// sleeps in poll() on its worker's socket and its wake eventfd. The lowest
+// idle slot takes the next ticket: a push wakes it, and a slot that leaves
+// the idle set with work still queued wakes the next.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,8 +98,8 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   /// Spawn the workers (synchronously, each with a ping handshake) and
-  /// start the dispatcher. False (with `*error` set) when no worker could
-  /// be spawned.
+  /// start one thread per slot. False (with `*error` set) when no worker
+  /// could be spawned.
   bool start(std::string* error = nullptr);
 
   /// Drain: wait for every queued + in-flight ticket to be answered, then
@@ -100,9 +107,8 @@ class WorkerPool {
   /// submit() after stop() answers immediately with an error response.
   void stop();
 
-  /// Enqueue one request; `done` fires exactly once, from a reader thread
-  /// (success) or wherever the failure is discovered. Never blocks on
-  /// verification.
+  /// Enqueue one request; `done` fires exactly once, from a slot thread
+  /// or wherever the failure is discovered. Never blocks on verification.
   void submit(const core::VerifyRequest& req, Done done);
 
   Stats stats() const;
@@ -115,27 +121,33 @@ class WorkerPool {
     double notBefore = 0;    // pool-clock seconds; retry backoff gate
   };
 
+  /// One life of a worker process; the reader carries its ping answer and
+  /// every response.
   struct Worker {
     pid_t pid = -1;
     int fd = -1;
-    std::thread reader;
-    bool alive = false;
-    bool spawning = false;  // dispatcher is mid-respawn (lock dropped)
-    bool abandoned = false;
-    unsigned consecutiveCrashes = 0;
-    double respawnAt = 0;  // pool-clock seconds; 0 = not scheduled
-    /// Wire id -> ticket; at most one entry (the request in flight). Wire
-    /// ids are supervisor-assigned (monotonic), so responses match tickets
-    /// even when clients reuse request ids.
-    std::map<std::uint64_t, Ticket> inflight;
+    FdLineReader reader;
   };
 
-  bool spawnWorkerLocked(std::size_t slot, bool first,
-                         std::unique_lock<std::mutex>& lk,
-                         std::string* error);
-  void dispatcherLoop();
-  void readerLoop(std::size_t slot);
-  void onWorkerDeath(std::size_t slot);
+  struct Slot {
+    std::thread thread;
+    int wake = -1;      // eventfd the slot thread polls while it waits
+    bool idle = false;  // has a live worker and no ticket (under mutex_)
+  };
+
+  enum class Next { Ticket, WorkerGone, Stop };
+
+  std::optional<Worker> spawnWorker(std::size_t slot, bool first,
+                                    std::string* error);
+  void slotLoop(std::size_t slot, std::optional<Worker> worker);
+  /// Blocks until this slot takes a ready ticket into `*t`, its idle worker
+  /// dies, or the pool stops.
+  Next nextTicket(std::size_t slot, int workerFd, Ticket* t);
+  /// Polls the slot's wake eventfd and `workerFd` (skipped when < 0) for at
+  /// most `seconds` (< 0: no limit). True when `workerFd` is readable.
+  bool sleep(std::size_t slot, int workerFd, double seconds);
+  void abandonSlot();
+  void wakeFirstIdleLocked();
   double now() const { return clock_.seconds(); }
 
   WorkerPoolOptions opts_;
@@ -143,16 +155,14 @@ class WorkerPool {
   Timer clock_;  // pool-lifetime monotonic clock for backoff deadlines
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;       // dispatcher wakeups
   std::condition_variable drainCv_;  // stop() waits for empty here
   std::deque<Ticket> queue_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::uint64_t nextWireId_ = 1;
+  std::vector<Slot> slots_;
+  std::size_t abandoned_ = 0;
   bool started_ = false;
   bool draining_ = false;  // no new submits; finish what is queued
-  bool stopping_ = false;  // dispatcher exits
-  std::thread dispatcher_;
-  Stats stats_;
+  std::atomic<bool> stopping_{false};  // slot threads exit (set under mutex_)
+  Stats stats_;  // queued is filled in by stats()
 };
 
 }  // namespace velev::serve

@@ -96,7 +96,8 @@ bool writeLineFd(int fd, const std::string& line) {
   framed += '\n';
   std::size_t off = 0;
   while (off < framed.size()) {
-    const ssize_t n = ::write(fd, framed.data() + off, framed.size() - off);
+    const ssize_t n =
+        ::send(fd, framed.data() + off, framed.size() - off, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;

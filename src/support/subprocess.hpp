@@ -10,8 +10,8 @@
 // is involved.
 //
 // FdLineReader / writeLineFd carry the newline-delimited JSON wire format
-// (docs/SERVICE.md) over raw fds, mirroring what serve::VerifyServer's
-// connection readers do over sockets.
+// (docs/SERVICE.md) over the socketpair, mirroring what
+// serve::VerifyServer's connection readers do over sockets.
 #pragma once
 
 #include <sys/types.h>
@@ -52,8 +52,8 @@ bool reapProcess(pid_t pid, bool block, int* status = nullptr);
 /// False on timeout. timeoutMs < 0 waits forever.
 bool waitReadable(int fd, int timeoutMs);
 
-/// Write `line` + '\n' with a short-write loop; false on error (incl.
-/// EPIPE — callers must have SIGPIPE ignored or use socket sends).
+/// Write `line` + '\n' to socket `fd` with a short-write loop; false on
+/// error. A peer that is gone is EPIPE here, never a process-wide SIGPIPE.
 bool writeLineFd(int fd, const std::string& line);
 
 /// Buffered line reader over a blocking fd: next() strips the trailing

@@ -11,9 +11,9 @@
 //     propagate through the future, never terminate a worker;
 //   * cooperative cancellation via CancelToken: a task submitted with a
 //     token is skipped (its future throws CancelledError) if the token was
-//     cancelled before the task started running. Cancellation of a task
-//     that is already running is the task body's responsibility (e.g. the
-//     SAT solver polls an atomic flag between conflicts).
+//     cancelled before the task started running. A task that is already
+//     running is not interrupted; it stops only if its body checks the
+//     token itself.
 //
 // THREAD-OWNERSHIP RULE (load-bearing for the whole verification flow):
 // the EUFM/prop expression DAGs (`eufm::Context`, `prop::PropCtx`) are
@@ -56,9 +56,6 @@ class CancelToken {
   bool cancelled() const noexcept {
     return flag_->load(std::memory_order_relaxed);
   }
-
-  /// The underlying flag, for code that polls a raw atomic (sat::Solver).
-  const std::atomic<bool>* raw() const noexcept { return flag_.get(); }
 
  private:
   std::shared_ptr<std::atomic<bool>> flag_;

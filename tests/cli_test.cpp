@@ -87,6 +87,10 @@ TEST(Cli, UsageErrorExitsTwo) {
   EXPECT_EQ(runCli("--bug nonsense").exitCode, 2);
   EXPECT_EQ(runCli("--grid 2x4").exitCode, 2);  // impossible cell
   EXPECT_EQ(runCli("--jobs 0").exitCode, 2);
+  const CliResult huge = runCli("--size 5000");  // past kMaxRobSize
+  EXPECT_EQ(huge.exitCode, 2) << huge.output;
+  EXPECT_NE(huge.output.find("rob_size <= 4096"), std::string::npos)
+      << huge.output;
   // A bug slice past the design: VerifyRequest::validate() names it.
   const CliResult bug = runCli("--size 4 --width 2 --bug fwd:9");
   EXPECT_EQ(bug.exitCode, 2) << bug.output;

@@ -28,6 +28,7 @@
 #include <fstream>
 #include <functional>
 #include <future>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -187,6 +188,12 @@ TEST(ServeRequest, ValidateRejectsOutOfRangeValues) {
   req.bug = {models::BugKind::ForwardingWrongOperand, 100000};
   EXPECT_TRUE(req.validate().has_value());
   EXPECT_FALSE(smallRequest().validate().has_value());
+  // The ROB size is bounded before anything is keyed or built.
+  req = {};
+  req.robSize = core::kMaxRobSize + 1;  // 4097
+  EXPECT_TRUE(req.validate().has_value());
+  req.robSize = core::kMaxRobSize;  // 4096
+  EXPECT_FALSE(req.validate().has_value());
 
   // The wire parser refuses an integer its field cannot hold exactly,
   // before any cast: no wrap-around onto another cell's cache key, no
@@ -206,12 +213,18 @@ TEST(ServeRequest, ValidateRejectsOutOfRangeValues) {
     EXPECT_FALSE(core::VerifyRequest::parse(text, &err).has_value()) << text;
     EXPECT_FALSE(err.empty()) << text;
   }
+  // The widest value the field can hold passes the range check and then
+  // fails the bound; the bound itself parses.
   std::string err;
+  EXPECT_FALSE(core::VerifyRequest::parse(
+                   "{\"version\": 1, \"rob_size\": 4294967295}", &err)
+                   .has_value());
+  EXPECT_EQ(err, "need 1 <= rob_size <= 4096");
   const auto widest = core::VerifyRequest::parse(
-      "{\"version\": 1, \"rob_size\": 4294967295, \"sat_conflict_budget\": -1}",
+      "{\"version\": 1, \"rob_size\": 4096, \"sat_conflict_budget\": -1}",
       &err);
   ASSERT_TRUE(widest.has_value()) << err;
-  EXPECT_EQ(widest->robSize, 4294967295u);
+  EXPECT_EQ(widest->robSize, 4096u);
 }
 
 TEST(ServeRequest, CacheKeyIgnoresIdButTracksSemantics) {
@@ -1329,6 +1342,62 @@ TEST(ServePool, RetriesExhaustedAnswerErrorNeverHang) {
   EXPECT_EQ(s.crashes, 1u);
   EXPECT_EQ(s.failed, 1u);
   EXPECT_GE(s.respawns, 1u);
+  EXPECT_EQ(s.queued, 0u);
+  EXPECT_EQ(s.inflight, 0u);
+}
+
+TEST(ServePool, UnparseableWorkerLineEndsTheWorkerAndNeverHangs) {
+  // A fake worker that passes the ping handshake, then answers every
+  // request with a line that is not a VerifyResponse. Each such line must
+  // end the worker like a crash, so the request is retried once and then
+  // answered with an error instead of staying in flight forever.
+  const std::string script = freshDir("badline") + "/fake_worker.sh";
+  {
+    std::ofstream out(script);
+    out << "#!/bin/sh\n"
+           "# argv: --worker FD\n"
+           "exec <&\"$2\" >&\"$2\"\n"
+           "while IFS= read -r line; do\n"
+           "  case \"$line\" in\n"
+           "    *'\"op\"'*) echo '{\"ok\": true, \"op\": \"ping\"}' ;;\n"
+           "    *) echo 'not a response' ;;\n"
+           "  esac\n"
+           "done\n";
+  }
+  std::filesystem::permissions(script, std::filesystem::perms::owner_all);
+
+  serve::WorkerPoolOptions po;
+  po.executable = script;
+  po.processes = 1;
+  po.maxRetries = 1;
+  auto collector = std::make_unique<trace::Collector>();
+  auto pool = std::make_unique<serve::WorkerPool>(po, *collector);
+  std::string err;
+  ASSERT_TRUE(pool->start(&err)) << err;
+
+  auto answer = std::make_shared<std::promise<core::VerifyResponse>>();
+  auto f = answer->get_future();
+  pool->submit(smallRequest(), [answer](const core::VerifyResponse& r) {
+    answer->set_value(r);
+  });
+  if (f.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    // The pool's destructor would wait for the hung ticket forever: leak
+    // the pool (and what its threads use) so the test fails, not hangs.
+    (void)pool.release();
+    (void)collector.release();
+    FAIL() << "no answer within 10 s: the request is stuck in flight";
+  }
+  const core::VerifyResponse r = f.get();
+  EXPECT_FALSE(r.error.empty());
+  EXPECT_EQ(r.exitCode, 2);
+  EXPECT_GE(collector->counter("serve.worker.badline"), 2u);
+  EXPECT_GE(collector->counter("serve.worker.crashes"), 2u);
+
+  pool->stop();  // must return: nothing is left in flight
+  const auto s = pool->stats();
+  EXPECT_GE(s.crashes, 2u);
+  EXPECT_EQ(s.retries, 1u);
+  EXPECT_EQ(s.failed, 1u);
   EXPECT_EQ(s.queued, 0u);
   EXPECT_EQ(s.inflight, 0u);
 }

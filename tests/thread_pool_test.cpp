@@ -105,7 +105,6 @@ TEST(ThreadPool, CancelTokenCopiesShareState) {
   EXPECT_FALSE(b.cancelled());
   a.cancel();
   EXPECT_TRUE(b.cancelled());
-  EXPECT_TRUE(a.raw()->load());
 }
 
 TEST(ThreadPool, DestructorDrainsQueuedTasks) {

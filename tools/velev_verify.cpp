@@ -9,7 +9,7 @@
 //   $ velev_verify --size 8 --width 2 --trace out/ --stats
 //
 // Options:
-//   --size N          ROB size (default 8)
+//   --size N          ROB size, 1..4096 (default 8)
 //   --width K         issue/retire width (default 2)
 //   --grid SPEC       verify a whole grid instead of one configuration.
 //                     SPEC is either "sizes=A,B,..;widths=X,Y,.." (cross
@@ -90,7 +90,8 @@
 // velev_serve runs too), so a single run answers exactly what the same cell
 // answers under --grid: verdict, reason and the full counter block. Each
 // request is checked by VerifyRequest::validate() first; an invalid cell
-// (width > size, a bug slice out of range) is a usage error.
+// (a size past 4096, width > size, a bug slice out of range) is a usage
+// error.
 //
 // Exit code (core::verdictExitCode — one mapping shared with the benches
 // and cli_test): 0 correct, 1 bug found / mismatch, 2 usage error (also a
