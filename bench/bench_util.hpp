@@ -20,6 +20,8 @@
 #include "core/report_json.hpp"
 #include "support/json.hpp"
 #include "support/mem.hpp"
+#include "support/parse_number.hpp"
+#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace velev::bench {
@@ -39,15 +41,17 @@ inline bool noInprocess() {
 }
 
 /// Worker threads for the grid benches: `--jobs N` on the command line, or
-/// the REPRO_JOBS environment variable, else `fallback`.
+/// the REPRO_JOBS environment variable, else `fallback`. N must be an
+/// integer in 1..kMaxWorkers; anything else exits 2.
 inline unsigned parseJobs(int argc, char** argv, unsigned fallback = 1) {
   unsigned jobs = fallback;
   if (const char* env = std::getenv("REPRO_JOBS"); env && env[0] != '\0')
-    jobs = static_cast<unsigned>(std::atoi(env));
-  for (int i = 1; i + 1 < argc; ++i)
+    jobs = parseNumberOrExit("REPRO_JOBS", env, 1u, kMaxWorkers);
+  for (int i = 1; i < argc; ++i)
     if (std::string(argv[i]) == "--jobs")
-      jobs = static_cast<unsigned>(std::atoi(argv[i + 1]));
-  return jobs < 1 ? 1 : jobs;
+      jobs = parseNumberOrExit("--jobs", i + 1 < argc ? argv[i + 1] : "", 1u,
+                               kMaxWorkers);
+  return jobs;
 }
 
 inline double envDouble(const char* name, double fallback) {

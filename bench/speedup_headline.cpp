@@ -10,8 +10,8 @@
 //
 // Part 2 measures the OTHER axis of speed — hardware parallelism: the
 // default verification grid (rewriting strategy) is run once sequentially
-// and once on the work-stealing grid runner with `--jobs N` workers
-// (default: min(4, hardware threads); REPRO_JOBS overrides). Cell-by-cell
+// and once with the grid runner's cells on `--jobs N` threads (default:
+// min(4, hardware threads); REPRO_JOBS overrides). Cell-by-cell
 // verdicts must be identical; the wall-clock ratio is the parallel
 // speedup. Each run shares one SAT solve memo across its cells: at jobs 1
 // every cell after the first of its width replays SAT, while concurrent

@@ -7,12 +7,11 @@
 // cone was necessary to simulate large reorder buffers; rerun two
 // configurations in naive full-evaluation mode to show the gap.
 //
-// Grid cells are independent; `--jobs N` (or REPRO_JOBS) fans them out on
-// the work-stealing pool — each task builds its OWN eufm::Context (the
+// Grid cells are independent; `--jobs N` (or REPRO_JOBS) runs them in one
+// parallelFor on N threads — each cell builds its OWN eufm::Context (the
 // one-context-per-cell ownership rule). Machine-readable results land in
 // BENCH_table1_symsim.json.
 #include <cstdio>
-#include <future>
 
 #include "bench_util.hpp"
 #include "core/diagram.hpp"
@@ -49,21 +48,19 @@ int main(int argc, char** argv) {
   const auto widths = bench::issueWidths();
   bench::JsonReport json("table1_symsim", jobs);
 
-  // Fan every valid (n, k) cell out on the pool, then print in table order.
+  // Simulate every valid (n, k) cell, then print in table order.
   struct Cell {
     unsigned n, k;
-    std::future<double> seconds;
+    double seconds = 0;
   };
   std::vector<Cell> cells;
-  {
-    ThreadPool pool(jobs);
-    for (unsigned n : sizes)
-      for (unsigned k : widths)
-        if (k <= n)
-          cells.push_back(Cell{
-              n, k, pool.submit([n, k] { return simulateOnce(n, k, true); })});
-    // pool destructor drains all cells
-  }
+  for (unsigned n : sizes)
+    for (unsigned k : widths)
+      if (k <= n) cells.push_back(Cell{n, k});
+  const ThreadPool pool(jobs);
+  parallelFor(&pool, cells.size(), [&](std::size_t i) {
+    cells[i].seconds = simulateOnce(cells[i].n, cells[i].k, true);
+  });
 
   bench::printHeader(
       "Table 1: symbolic simulation time [s] to generate the EUFM "
@@ -78,7 +75,7 @@ int main(int argc, char** argv) {
         bench::printDash();
         continue;
       }
-      const double secs = cells[idx++].seconds.get();
+      const double secs = cells[idx++].seconds;
       bench::printCell(secs);
       bench::JsonCell jc;
       jc.robSize = n;

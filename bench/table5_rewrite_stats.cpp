@@ -10,10 +10,10 @@
 //     this by running every width at two different ROB sizes and checking
 //     the resulting CNFs have identical statistics.
 // Each width column is independent (two verify() calls, each with its own
-// eufm::Context); `--jobs N` (or REPRO_JOBS) fans the columns out on the
-// work-stealing pool. Machine-readable results: BENCH_table5_rewrite_stats.json.
+// eufm::Context); `--jobs N` (or REPRO_JOBS) runs the columns in one
+// parallelFor on N threads. Machine-readable results:
+// BENCH_table5_rewrite_stats.json.
 #include <cstdio>
-#include <future>
 
 #include "bench_util.hpp"
 #include "core/verifier.hpp"
@@ -35,32 +35,24 @@ int main(int argc, char** argv) {
     bool sizeIndependent;
     double wallSeconds;
   };
-  std::vector<Col> cols;
-  {
-    std::vector<std::future<Col>> pendingCols;
-    ThreadPool pool(jobs);
-    for (unsigned k : widths) {
-      pendingCols.push_back(pool.submit([k] {
-        core::VerifyRequest req;
-        req.issueWidth = k;
-        const unsigned nSmall = std::max(k, 2u);
-        const unsigned nLarge = std::max(4 * k, 64u);
-        Col col;
-        Timer t;
-        req.robSize = nLarge;
-        col.rep = core::verify(req);
-        req.robSize = nSmall;
-        const core::VerifyReport small = core::verify(req);
-        col.wallSeconds = t.seconds();
-        col.sizeIndependent =
-            small.evcStats.cnfVars == col.rep.evcStats.cnfVars &&
-            small.evcStats.cnfClauses == col.rep.evcStats.cnfClauses &&
-            small.evcStats.eijVars == col.rep.evcStats.eijVars;
-        return col;
-      }));
-    }
-    for (auto& f : pendingCols) cols.push_back(f.get());
-  }
+  std::vector<Col> cols(widths.size());
+  const ThreadPool pool(jobs);
+  parallelFor(&pool, widths.size(), [&](std::size_t i) {
+    const unsigned k = widths[i];
+    core::VerifyRequest req;
+    req.issueWidth = k;
+    Col& col = cols[i];
+    Timer t;
+    req.robSize = std::max(4 * k, 64u);
+    col.rep = core::verify(req);
+    req.robSize = std::max(k, 2u);
+    const core::VerifyReport small = core::verify(req);
+    col.wallSeconds = t.seconds();
+    col.sizeIndependent =
+        small.evcStats.cnfVars == col.rep.evcStats.cnfVars &&
+        small.evcStats.cnfClauses == col.rep.evcStats.cnfClauses &&
+        small.evcStats.eijVars == col.rep.evcStats.eijVars;
+  });
 
   bench::JsonReport json("table5_rewrite_stats", jobs);
   for (std::size_t i = 0; i < widths.size(); ++i) {

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <map>
 #include <optional>
 
 #include "core/result_store.hpp"
+#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace velev::core {
@@ -36,15 +36,6 @@ void writeCellTrace(const std::string& dir, std::size_t index,
   if (std::ofstream os(stem + ".manifest.json"); os)
     trace::writeManifest(os, cellManifestData(res, req, "velev_grid"),
                          &collector);
-}
-
-GridCellResult skippedCell(const VerifyRequest& req) {
-  GridCellResult res;
-  res.cell = gridCell(req);
-  res.skipped = true;
-  res.response.verdict = Verdict::Skipped;
-  res.response.reason = "cancelled before the cell started";
-  return res;
 }
 
 /// One attempt of a cell: the store's answer under the request's key when
@@ -117,7 +108,7 @@ std::string sharedOrMixed(std::span<const VerifyRequest> reqs, Get get) {
 }
 
 /// The whole-grid roll-up: per-stage seconds and counters summed over the
-/// cells, verdict "correct" only if every non-skipped cell is.
+/// cells, verdict "correct" only if every cell is.
 void writeGridManifest(const std::string& dir, const GridRunOptions& opts,
                        std::span<const VerifyRequest> reqs,
                        std::span<const GridCellResult> results,
@@ -187,8 +178,7 @@ void writeGridManifest(const std::string& dir, const GridRunOptions& opts,
 }  // namespace
 
 std::vector<GridCellResult> runGrid(std::span<const VerifyRequest> requests,
-                                    const GridRunOptions& opts,
-                                    CancelToken* cancel) {
+                                    const GridRunOptions& opts) {
   std::vector<GridCellResult> results(requests.size());
   const bool traced = !opts.traceDir.empty();
   if (traced) std::filesystem::create_directories(opts.traceDir);
@@ -209,30 +199,11 @@ std::vector<GridCellResult> runGrid(std::span<const VerifyRequest> requests,
   // with counters identical to fresh ones. Concurrent cells may both miss.
   sat::SolveMemo memo;
 
-  if (opts.jobs <= 1) {
-    for (std::size_t i = 0; i < requests.size(); ++i)
-      results[i] = cancel != nullptr && cancel->cancelled()
-                       ? skippedCell(requests[i])
-                       : runCell(requests[i], opts, i, memo, storePtr);
-  } else {
-    const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
-        opts.jobs, std::max<std::size_t>(1, requests.size())));
-    ThreadPool pool(workers);
-    const CancelToken token = cancel != nullptr ? *cancel : CancelToken();
-    std::vector<std::future<void>> done;
-    done.reserve(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i)
-      done.push_back(pool.submit(token, [&, i] {
-        results[i] = runCell(requests[i], opts, i, memo, storePtr);
-      }));
-    for (std::size_t i = 0; i < done.size(); ++i) {
-      try {
-        done[i].get();
-      } catch (const CancelledError&) {
-        results[i] = skippedCell(requests[i]);
-      }
-    }
-  }
+  // One index per cell, on up to `jobs` threads.
+  const ThreadPool pool(opts.jobs);
+  parallelFor(&pool, requests.size(), [&](std::size_t i) {
+    results[i] = runCell(requests[i], opts, i, memo, storePtr);
+  });
   if (traced)
     writeGridManifest(opts.traceDir, opts, requests, results, &gridCollector);
   return results;

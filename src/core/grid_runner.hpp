@@ -3,21 +3,22 @@
 //
 // The paper's evaluation (Tables 1-5) is a grid of configurations that are
 // completely independent of each other — embarrassingly parallel. Each grid
-// cell is one pool task that builds its OWN `eufm::Context`, its own
-// processor models, and runs the full verify() pipeline inside the task.
+// cell is one parallelFor index whose body builds its OWN `eufm::Context`,
+// its own processor models, and runs the full verify() pipeline.
 //
 // THREAD-OWNERSHIP RULE: one ExprContext per verification cell. The EUFM
 // context (hash-consing table, string interner) and the prop/CNF contexts
 // derived from it are unsynchronized by design — sharing or cross-thread
 // interning is a data race. The grid runner never passes expressions
 // between cells; the only shared state is the results vector, written at
-// disjoint indices and read after all futures are joined, one
+// disjoint indices and read after every thread has joined, one
 // mutex-guarded sat::SolveMemo per runGrid() call, through which cells with
 // a bit-identical CNF (a Table 5 column) replay one finished SAT solve, and
 // the optional core::ResultStore (read-only after open, appends locked).
-// Results are returned in input order, so a parallel run is observationally
-// identical to the sequential one (up to wall-clock fields and the SAT time
-// and arena peak of replayed cells).
+// Results are returned in input order, and jobs = 1 runs the same loop
+// inline, so a parallel run is observationally identical to the sequential
+// one (up to wall-clock fields and the SAT time and arena peak of replayed
+// cells).
 //
 // The one sanctioned exception lives *inside* a cell: with cellJobs > 1 a
 // cell's own workers read the cell's (frozen) context through per-worker
@@ -37,7 +38,6 @@
 
 #include "core/request.hpp"
 #include "core/verifier.hpp"
-#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
 namespace velev::core {
@@ -55,7 +55,6 @@ struct GridCellResult {
   /// result store persists and velev_serve sends.
   VerifyResponse response;
   double wallSeconds = 0;       // summed over the cell's attempts
-  bool skipped = false;         // cancelled before the cell started
   bool fellBack = false;        // FallbackPolicy retried this cell
   /// When fellBack: the verdict of the original (pre-retry) attempt.
   Verdict firstVerdict = Verdict::Inconclusive;
@@ -78,7 +77,7 @@ enum class FallbackPolicy {
 /// the per-cell VerifyRequests (so a grid may mix strategies, engines and
 /// budgets); this struct only says HOW to run them.
 struct GridRunOptions {
-  unsigned jobs = 1;  // worker threads; 1 = run in the calling thread
+  unsigned jobs = 1;  // threads over cells; 1 = run in the calling thread
   FallbackPolicy fallback = FallbackPolicy::None;
   /// When non-empty: each cell attaches its own trace::Collector (the
   /// one-Collector-per-cell analogue of the one-Context-per-cell rule) and
@@ -93,8 +92,7 @@ struct GridRunOptions {
   /// verified and stored — so a sweep killed mid-run loses at most the
   /// cells in flight, and re-running it restores the finished ones
   /// (GridCellResult::restored). A store written by a different build
-  /// matches nothing. `timeout` and `skipped` cells are never stored, so
-  /// they run again.
+  /// matches nothing. `timeout` cells are never stored, so they run again.
   std::string cacheDir;
   /// Worker threads *inside* each cell (VerifyOptions::jobs): parallel
   /// rewrite slice checks and CNF build. Orthogonal to `jobs`, which fans
@@ -106,13 +104,11 @@ struct GridRunOptions {
 /// Verify every request of `requests`; results come back in input order.
 /// Each request carries its own strategy/engine/budget, so heterogeneous
 /// grids (the velev_serve replay mix) run through the same scheduler as the
-/// paper's homogeneous tables. With jobs > 1, cells run on a work-stealing
-/// pool. Cancelling `cancel` stops the cells that have not started yet
-/// (marked skipped, verdict Verdict::Skipped); running cells finish
-/// normally.
+/// paper's homogeneous tables. With jobs > 1, one parallelFor runs the cells
+/// on that many threads; a cell that throws stops the cells not yet started
+/// and the exception reaches the caller.
 std::vector<GridCellResult> runGrid(std::span<const VerifyRequest> requests,
-                                    const GridRunOptions& opts,
-                                    CancelToken* cancel = nullptr);
+                                    const GridRunOptions& opts);
 
 /// Cross product of sizes × widths, dropping the impossible cells
 /// (width > size) exactly as the paper's tables print a dash for them.

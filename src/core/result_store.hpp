@@ -20,7 +20,7 @@
 // store saves work, it is not a store of record.
 //
 // POLICY: error responses, wall-clock `timeout` (it depends on machine
-// load) and `skipped` (the cell never ran) are never stored.
+// load) and `skipped` (nothing ran) are never stored.
 //
 // One process may own a store at a time; put() is thread-safe within it.
 #pragma once

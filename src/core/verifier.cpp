@@ -162,9 +162,9 @@ VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
   BudgetGovernor gov(opts.budget);
   ScopedContextBudget attach(cx, gov);
 
-  // Intra-cell worker pool (jobs > 1): shared by the rewrite slice loop and
-  // the CNF build. Results are identical to the sequential path, so nothing
-  // downstream needs to know whether it existed.
+  // Intra-cell threads (jobs > 1) for the rewrite slice loop and the CNF
+  // build. Results are identical without a pool, so nothing downstream needs
+  // to know whether it existed.
   std::unique_ptr<ThreadPool> pool;
   if (opts.jobs > 1) pool = std::make_unique<ThreadPool>(opts.jobs);
 

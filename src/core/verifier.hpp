@@ -103,12 +103,12 @@ struct VerifyOptions {
   /// the translated CNF (sat::checkRup). Not owned.
   sat::Proof* proof = nullptr;
   /// Worker threads available *inside* this one verification: with jobs > 1
-  /// a private pool shards the rewrite slice checks (per-slice
-  /// eufm::ShadowContext overlays) and the CNF build (sharded Tseitin, one
-  /// transitivity component per worker). Verdict, counters and the emitted
-  /// CNF are identical to jobs == 1 for any value — parallelism here only
-  /// buys wall clock on the big-N cells of the paper-scale sweep. Not part
-  /// of the serializable VerifyRequest (scheduling, not semantics).
+  /// the rewrite slice checks (per-slice eufm::ShadowContext overlays) and
+  /// the CNF build (Tseitin clause shards, transitivity components) each
+  /// fan out in one parallelFor on that many threads. Verdict, counters and
+  /// the emitted CNF are identical to jobs == 1 for any value — parallelism
+  /// here only buys wall clock on the big-N cells of the paper-scale sweep.
+  /// Not part of the serializable VerifyRequest (scheduling, not semantics).
   unsigned jobs = 1;
 };
 
@@ -119,7 +119,7 @@ enum class Verdict {
   Inconclusive,         // SAT conflict budget exhausted / SAT skipped
   Timeout,              // wall-clock budget exhausted
   MemOut,               // memory budget exhausted (Table 2's "out of memory")
-  Skipped,              // grid cell never ran (cancelled before start)
+  Skipped,              // never ran: a fuzz oracle left off (also a wire value)
 };
 
 /// Stable lower-case name, used by the CLI and the JSON bench reports.

@@ -1,9 +1,6 @@
 #include "evc/transitivity.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <future>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -173,33 +170,13 @@ TransitivityStats addTransitivityConstraints(
     comps[it->second].push_back(u);  // ascending: u is scanned in order
   }
 
-  // Eliminate each component, in parallel when a pool is available. Each
+  // Eliminate each component, one parallelFor index per component. Each
   // call is deterministic in isolation; the merge below walks components in
   // index order, so the overall output does not depend on scheduling.
   std::vector<ComponentResult> results(comps.size());
-  if (pool == nullptr || comps.size() <= 1) {
-    for (std::size_t c = 0; c < comps.size(); ++c)
-      results[c] =
-          eliminateComponent(comps[c], adj, edges.size(), governor);
-  } else {
-    std::mutex errMutex;
-    std::exception_ptr firstError;
-    std::vector<std::future<void>> futures;
-    futures.reserve(comps.size());
-    for (std::size_t c = 0; c < comps.size(); ++c) {
-      futures.push_back(pool->submit([&, c] {
-        try {
-          results[c] =
-              eliminateComponent(comps[c], adj, edges.size(), governor);
-        } catch (...) {
-          std::lock_guard<std::mutex> lk(errMutex);
-          if (!firstError) firstError = std::current_exception();
-        }
-      }));
-    }
-    for (auto& f : futures) f.get();
-    if (firstError) std::rethrow_exception(firstError);
-  }
+  parallelFor(pool, comps.size(), [&](std::size_t c) {
+    results[c] = eliminateComponent(comps[c], adj, edges.size(), governor);
+  });
 
   // Merge in component order: allocate the real CNF variables for each
   // component's fill-in edges (in discovery order), remap the provisional

@@ -39,7 +39,7 @@ struct TransitivityStats {
 /// The comparison graph decomposes into connected components that are
 /// independent under elimination; with a non-null `pool` the components are
 /// chordalized in parallel. Output (clauses, fill-in variable numbering)
-/// and stats are identical for any worker count.
+/// and stats are identical for any thread count.
 TransitivityStats addTransitivityConstraints(
     const std::map<std::pair<eufm::Expr, eufm::Expr>, std::uint32_t>& edges,
     prop::Cnf& cnf, BudgetGovernor* governor = nullptr,

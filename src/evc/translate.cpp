@@ -93,20 +93,14 @@ Translation translate(eufm::Context& cx, Expr correctness,
   tr.stats.eijVars = enc.numEij();
   tr.stats.otherPrimaryVars = enc.numOtherPrimary();
 
-  // 5. CNF of the negation + transitivity constraints. Both sub-steps can
-  // shard across opts.pool; the `evc.parallel.*` spans record the
-  // coordinator's wait on the sharded work (absent on sequential runs).
+  // 5. CNF of the negation + transitivity constraints. Both sub-steps fan
+  // out on opts.pool (inline without one), with output identical either way.
   if (opts.pool != nullptr)
     velev::trace::counterSet("evc.parallel.jobs", opts.pool->size());
   if (opts.emitCnf) {
     TRACE_SPAN("translate.cnf");
-    if (opts.pool != nullptr) {
-      TRACE_SPAN("evc.parallel.tseitin");
-      tr.cnf = prop::tseitin(*enc.pctx, enc.root, /*negateRoot=*/true,
-                             opts.pool);
-    } else {
-      tr.cnf = prop::tseitin(*enc.pctx, enc.root, /*negateRoot=*/true);
-    }
+    tr.cnf = prop::tseitin(*enc.pctx, enc.root, /*negateRoot=*/true,
+                           opts.pool);
   } else {
     // BDD engine: no Tseitin — the CNF carries only the transitivity
     // constraints, whose fill-in variables number after the AIG inputs.
@@ -117,14 +111,8 @@ Translation translate(eufm::Context& cx, Expr correctness,
     std::map<std::pair<Expr, Expr>, std::uint32_t> eijCnfVars;
     for (const auto& [pair, lit] : enc.eijLit)
       eijCnfVars.emplace(pair, enc.pctx->varIndex(prop::nodeOf(lit)) + 1);
-    if (opts.pool != nullptr) {
-      TRACE_SPAN("evc.parallel.transitivity");
-      tr.stats.transitivity = addTransitivityConstraints(
-          eijCnfVars, tr.cnf, cx.budgetGovernor(), opts.pool);
-    } else {
-      tr.stats.transitivity =
-          addTransitivityConstraints(eijCnfVars, tr.cnf, cx.budgetGovernor());
-    }
+    tr.stats.transitivity = addTransitivityConstraints(
+        eijCnfVars, tr.cnf, cx.budgetGovernor(), opts.pool);
   }
   tr.stats.cnfVars = tr.cnf.numVars;
   tr.stats.cnfClauses = tr.cnf.numClauses();

@@ -49,10 +49,10 @@ struct TranslateOptions {
   /// this — it consumes validityRoot directly and needs just the side
   /// clauses, not the CNF of the formula.
   bool emitCnf = true;
-  /// Optional worker pool for the CNF build: Tseitin clause emission is
-  /// sharded across workers and the transitivity chordalization runs one
-  /// comparison-graph component per worker. Output and stats are identical
-  /// to the nullptr (sequential) path for any worker count.
+  /// Optional threads for the CNF build: Tseitin clause shards and the
+  /// transitivity chordalization's comparison-graph components each fan out
+  /// in one parallelFor. Output and stats are identical to nullptr (inline)
+  /// for any thread count.
   ThreadPool* pool = nullptr;
 };
 

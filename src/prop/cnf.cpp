@@ -1,31 +1,32 @@
 #include "prop/cnf.hpp"
 
+#include <algorithm>
 #include <array>
-#include <exception>
-#include <future>
+#include <cstdint>
 #include <istream>
-#include <mutex>
+#include <iterator>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
 #include <unordered_map>
 
 #include "support/budget.hpp"
+#include "support/parse_number.hpp"
 #include "support/thread_pool.hpp"
 
 namespace velev::prop {
 
 // Tseitin translation, in two passes so clause emission can be sharded
-// across a thread pool:
+// across threads:
 //   pass 1 (sequential) — the postorder cone traversal; assigns every And
 //     node its auxiliary CNF variable in visit order and records the
 //     (v, a, b) literal triple. Variable numbering is therefore identical
 //     to the classic single-pass translation and independent of the pool.
 //   pass 2 — each recorded triple expands to the three v <-> a & b
-//     clauses. With a pool the triple list is cut into per-worker shards
-//     whose clause buffers are concatenated in shard order, so the clause
-//     list is byte-identical to the sequential emission for any worker
-//     count.
+//     clauses. The triple list is cut into shards, one per pool thread (one
+//     without a pool), whose clause buffers are concatenated in shard
+//     order, so the clause list is byte-identical for any thread count.
 Cnf tseitin(const PropCtx& cx, PLit root, bool negateRoot, ThreadPool* pool) {
   Cnf cnf;
   cnf.numVars = cx.numVars();
@@ -94,53 +95,32 @@ Cnf tseitin(const PropCtx& cx, PLit root, bool negateRoot, ThreadPool* pool) {
   }
   if (governor != nullptr) governor->checkpoint(budgetSource, clauseBytes);
 
-  // Pass 2: clause emission, sharded when a pool is available and the
-  // formula is big enough for the fan-out to pay.
-  auto emit = [governor](const Gate* g, std::size_t count,
-                         std::vector<Clause>& out) {
-    out.reserve(count * 3);
-    for (std::size_t i = 0; i < count; ++i) {
-      const CnfLit lv = g[i].v, la = g[i].a, lb = g[i].b;
+  // Pass 2: clause emission, one shard per pool thread when the formula is
+  // big enough for the fan-out to pay; shards concatenate in order.
+  constexpr std::size_t kParallelThreshold = 4096;
+  const std::size_t shards =
+      pool != nullptr && gates.size() >= kParallelThreshold ? pool->size() : 1;
+  const std::size_t chunk = (gates.size() + shards - 1) / shards;
+  std::vector<std::vector<Clause>> out(shards);
+  parallelFor(pool, shards, [&](std::size_t s) {
+    const std::size_t lo = std::min(gates.size(), s * chunk);
+    const std::size_t hi = std::min(gates.size(), lo + chunk);
+    out[s].reserve((hi - lo) * 3);
+    for (std::size_t i = lo; i < hi; ++i) {
+      const CnfLit lv = gates[i].v, la = gates[i].a, lb = gates[i].b;
       // v <-> a & b
-      out.push_back({-lv, la});
-      out.push_back({-lv, lb});
-      out.push_back({lv, -la, -lb});
+      out[s].push_back({-lv, la});
+      out[s].push_back({-lv, lb});
+      out[s].push_back({lv, -la, -lb});
       // Bytes were projected in pass 1; this is a deadline-only poll.
-      if (governor != nullptr && (i & 0x3ffu) == 0x3ffu)
+      if (governor != nullptr && ((i - lo) & 0x3ffu) == 0x3ffu)
         governor->checkpoint(-1, 0);
     }
-  };
-  constexpr std::size_t kParallelThreshold = 4096;
-  const unsigned jobs =
-      pool != nullptr && gates.size() >= kParallelThreshold ? pool->size() : 1;
-  if (jobs <= 1) {
-    emit(gates.data(), gates.size(), cnf.clauses);
-  } else {
-    const std::size_t chunk = (gates.size() + jobs - 1) / jobs;
-    std::vector<std::vector<Clause>> shards(jobs);
-    std::mutex errMutex;
-    std::exception_ptr firstError;
-    std::vector<std::future<void>> futures;
-    for (unsigned w = 0; w < jobs; ++w) {
-      futures.push_back(pool->submit([&, w] {
-        const std::size_t lo = std::min(gates.size(), w * chunk);
-        const std::size_t hi = std::min(gates.size(), lo + chunk);
-        try {
-          emit(gates.data() + lo, hi - lo, shards[w]);
-        } catch (...) {
-          std::lock_guard<std::mutex> lk(errMutex);
-          if (!firstError) firstError = std::current_exception();
-        }
-      }));
-    }
-    for (auto& f : futures) f.get();
-    if (firstError) std::rethrow_exception(firstError);
-    std::size_t total = 0;
-    for (const auto& s : shards) total += s.size();
-    cnf.clauses.reserve(total + 1);
-    for (auto& s : shards)
-      for (auto& c : s) cnf.clauses.push_back(std::move(c));
-  }
+  });
+  cnf.clauses = std::move(out[0]);
+  cnf.clauses.reserve(gates.size() * 3 + 1);
+  for (std::size_t s = 1; s < shards; ++s)
+    std::move(out[s].begin(), out[s].end(), std::back_inserter(cnf.clauses));
   cnf.addClause({litFor(root)});
   return cnf;
 }
@@ -155,32 +135,43 @@ void writeDimacs(const Cnf& cnf, std::ostream& os) {
 
 Cnf parseDimacs(std::istream& is) {
   Cnf cnf;
-  std::string line;
+  std::string line, token;
   bool sawHeader = false;
-  std::size_t expectedClauses = 0;
   Clause current;
   while (std::getline(is, line)) {
     if (line.empty() || line[0] == 'c') continue;
+    std::istringstream ls(line);
     if (line[0] == 'p') {
-      std::istringstream hs(line);
-      std::string p, fmt;
-      hs >> p >> fmt >> cnf.numVars >> expectedClauses;
+      std::string p, fmt, vars, clauses;
+      ls >> p >> fmt >> vars >> clauses;
       VELEV_CHECK_MSG(fmt == "cnf", "unsupported DIMACS format: " << fmt);
+      // Variables must fit a positive CnfLit, so every literal negates.
+      const auto numVars = parseNumber<std::uint32_t>(
+          vars, 0, std::numeric_limits<CnfLit>::max());
+      VELEV_CHECK_MSG(
+          numVars.has_value() &&
+              parseNumber<std::uint64_t>(
+                  clauses, 0, std::numeric_limits<std::uint64_t>::max()),
+          "DIMACS header needs two non-negative counts, at most "
+              << std::numeric_limits<CnfLit>::max()
+              << " variables: " << line);
+      cnf.numVars = *numVars;
       sawHeader = true;
       continue;
     }
     VELEV_CHECK_MSG(sawHeader, "DIMACS clause before p-line");
-    std::istringstream ls(line);
-    CnfLit lit;
-    while (ls >> lit) {
-      if (lit == 0) {
+    const auto bound = static_cast<CnfLit>(cnf.numVars);
+    while (ls >> token) {
+      const std::optional<CnfLit> lit =
+          parseNumber<CnfLit>(token, -bound, bound);
+      VELEV_CHECK_MSG(lit.has_value(), "DIMACS literal '" << token
+                                           << "' is not an integer in -"
+                                           << bound << ".." << bound);
+      if (*lit == 0) {
         cnf.addClause(std::move(current));
         current.clear();
       } else {
-        VELEV_CHECK_MSG(static_cast<std::uint32_t>(std::abs(lit)) <=
-                            cnf.numVars,
-                        "literal exceeds declared variable count");
-        current.push_back(lit);
+        current.push_back(*lit);
       }
     }
   }

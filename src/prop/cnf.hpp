@@ -40,8 +40,8 @@ struct Cnf {
 /// CNF: the result is satisfiable iff the (possibly negated) root is.
 /// Only the cone of `root` is translated. Auxiliary Tseitin variables are
 /// appended after the input variables. With a non-null `pool`, clause
-/// emission is sharded across its workers; the resulting CNF (variable
-/// numbering and clause order) is identical for any worker count.
+/// emission is sharded across its threads; the resulting CNF (variable
+/// numbering and clause order) is identical for any thread count.
 Cnf tseitin(const PropCtx& cx, PLit root, bool negateRoot,
             ThreadPool* pool = nullptr);
 
@@ -49,7 +49,9 @@ Cnf tseitin(const PropCtx& cx, PLit root, bool negateRoot,
 void writeDimacs(const Cnf& cnf, std::ostream& os);
 
 /// Parse DIMACS (for the standalone SAT example and tests). Throws
-/// InternalError on malformed input.
+/// InternalError on malformed input: a header without two non-negative
+/// integer counts or with more than INT32_MAX variables, or a token that is
+/// not an integer within ±numVars.
 Cnf parseDimacs(std::istream& is);
 
 }  // namespace velev::prop

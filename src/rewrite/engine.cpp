@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <exception>
-#include <mutex>
 #include <sstream>
 #include <vector>
 
@@ -220,51 +218,28 @@ class Engine {
     checkSpecLevels(gov, slot);
     std::vector<SliceOutcome> out(n_);
     const unsigned jobs =
-        pool_ == nullptr ? 1u : std::min<unsigned>(pool_->size(), n_);
-    if (jobs <= 1) {
-      for (unsigned i = 0; i < n_; ++i) {
-        checkSliceOutcome(i, gov, slot, out[i]);
-        if (!out[i].ok) break;  // fail fast; merge stops here anyway
-      }
-    } else {
-      TRACE_SPAN("rewrite.parallel.slices");
-      trace::counterSet("rewrite.parallel.jobs", jobs);
-      trace::counterAdd("rewrite.parallel.batches", 1);
-      std::atomic<unsigned> next{0};
-      // Lowest failing slice seen so far; slices above it are skipped (their
-      // outcomes are never consumed), slices below it are always processed.
-      std::atomic<unsigned> minFail{n_};
-      std::mutex errMutex;
-      std::exception_ptr firstError;
-      auto worker = [&] {
-        const int own = gov != nullptr ? gov->registerSource() : -1;
-        try {
-          for (;;) {
-            const unsigned i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n_) break;
-            if (i > minFail.load(std::memory_order_relaxed)) continue;
-            checkSliceOutcome(i, gov, own, out[i]);
-            if (!out[i].ok) {
-              unsigned cur = minFail.load(std::memory_order_relaxed);
-              while (i < cur &&
-                     !minFail.compare_exchange_weak(
-                         cur, i, std::memory_order_relaxed)) {
-              }
-            }
-          }
-        } catch (...) {
-          // BudgetExceeded (the trip is sticky, siblings stop at their next
-          // checkpoint) or an internal error: surface the first one.
-          std::lock_guard<std::mutex> lk(errMutex);
-          if (!firstError) firstError = std::current_exception();
+        pool_ == nullptr ? 1u : std::clamp(n_, 1u, pool_->size());
+    if (jobs > 1) trace::counterSet("rewrite.parallel.jobs", jobs);
+    // One governor slot per worker: the calling thread keeps `slot`.
+    std::vector<int> slots{slot};
+    while (slots.size() < jobs)
+      slots.push_back(gov != nullptr ? gov->registerSource() : -1);
+    // Lowest failing slice seen so far; slices above it are skipped (their
+    // outcomes are never consumed), slices below it are always processed.
+    // A BudgetExceeded (sticky: siblings stop at their next checkpoint) or
+    // an internal error reaches the caller through parallelFor.
+    std::atomic<unsigned> minFail{n_};
+    parallelFor(pool_, n_, [&](std::size_t index, unsigned worker) {
+      const auto i = static_cast<unsigned>(index);
+      if (i > minFail.load(std::memory_order_relaxed)) return;
+      checkSliceOutcome(i, gov, slots[worker], out[i]);
+      if (!out[i].ok) {
+        unsigned cur = minFail.load(std::memory_order_relaxed);
+        while (i < cur && !minFail.compare_exchange_weak(
+                              cur, i, std::memory_order_relaxed)) {
         }
-      };
-      std::vector<std::future<void>> futures;
-      futures.reserve(jobs);
-      for (unsigned w = 0; w < jobs; ++w) futures.push_back(pool_->submit(worker));
-      for (auto& f : futures) f.get();
-      if (firstError) std::rethrow_exception(firstError);
-    }
+      }
+    });
     // Work counter, summed in slice order through the failing slice, so
     // the schedule cannot change it.
     std::uint64_t rebuilt = 0;

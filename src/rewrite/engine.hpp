@@ -111,9 +111,9 @@ struct SupportKeep {
 /// m specification steps (m = 0..issueWidth).
 ///
 /// Each slice check runs in a private eufm::ShadowContext over the frozen
-/// main context; with a non-null `pool` the slices are checked in parallel
-/// across its workers. Results and stats are identical for any worker count
-/// (including the sequential pool == nullptr path).
+/// main context, one parallelFor index per slice on up to `pool->size()`
+/// threads (inline without a pool). Results and stats are identical for any
+/// thread count.
 RewriteResult rewriteRobUpdates(eufm::Context& cx, const models::Isa& isa,
                                 const models::RobInitState& init,
                                 const models::OoOConfig& cfg,

@@ -12,6 +12,7 @@
 #include "support/check.hpp"
 #include "support/json.hpp"
 #include "support/mem.hpp"
+#include "support/parse_number.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 #include "support/trace.hpp"

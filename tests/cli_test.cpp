@@ -87,6 +87,24 @@ TEST(Cli, UsageErrorExitsTwo) {
   EXPECT_EQ(runCli("--bug nonsense").exitCode, 2);
   EXPECT_EQ(runCli("--grid 2x4").exitCode, 2);  // impossible cell
   EXPECT_EQ(runCli("--jobs 0").exitCode, 2);
+  // Numbers are read whole and range-checked: no trailing junk, no sign
+  // wrap ("-1" once became 4,294,967,295 workers), no overflow.
+  EXPECT_EQ(runCli("--size 4 --width 2 --cell-jobs 2x").exitCode, 2);
+  EXPECT_EQ(runCli("--jobs -1 --grid 4x2").exitCode, 2);
+  EXPECT_EQ(runCli("--size 4 --width 2 --jobs 257").exitCode, 2);
+  EXPECT_EQ(runCli("--size 4x --width 2").exitCode, 2);
+  EXPECT_EQ(runCli("--grid 4x2x").exitCode, 2);
+  EXPECT_EQ(runCli("--grid 'sizes=4,-8;widths=2'").exitCode, 2);
+  EXPECT_EQ(runCli("--size 4 --width 2 --bug fwd:2x").exitCode, 2);
+  EXPECT_EQ(runCli("--size 4 --width 2 --budget 1e3").exitCode, 2);
+  EXPECT_EQ(runCli("--size 4 --width 2 --timeout nan").exitCode, 2);
+  EXPECT_EQ(runCli("--size 4 --width 2 --mem-budget 99999999999999999999")
+                .exitCode,
+            2);
+  const CliResult junk = runCli("--size 4 --width 2 --cell-jobs 2x");
+  EXPECT_NE(junk.output.find("--cell-jobs expects a number in 1..256"),
+            std::string::npos)
+      << junk.output;
   const CliResult huge = runCli("--size 5000");  // past kMaxRobSize
   EXPECT_EQ(huge.exitCode, 2) << huge.output;
   EXPECT_NE(huge.output.find("rob_size <= 4096"), std::string::npos)

@@ -89,7 +89,6 @@ TEST(Grid, ParallelVerdictsIdenticalToSequential) {
               sequential[i].response.counter("cnf.vars"));
     EXPECT_EQ(parallel[i].response.counter("cnf.clauses"),
               sequential[i].response.counter("cnf.clauses"));
-    EXPECT_FALSE(parallel[i].skipped);
     EXPECT_GT(parallel[i].response.rssHighWaterKb, 0u);
   }
 }
@@ -127,26 +126,6 @@ TEST(Grid, BuggyCellReportsMismatchUnderParallelRun) {
   EXPECT_EQ(results[0].response.verdict, Verdict::Correct);
   EXPECT_EQ(results[1].response.verdict, Verdict::RewriteMismatch);
   EXPECT_EQ(results[1].response.failedSlice, 2u);
-}
-
-TEST(Grid, CancelledBeforeRunSkipsEveryCell) {
-  const auto cells = makeGridRequests(std::vector<unsigned>{2, 3, 4},
-                                      std::vector<unsigned>{1});
-  CancelToken token;
-  token.cancel();
-  for (unsigned jobs : {1u, 2u}) {
-    GridRunOptions opts;
-    opts.jobs = jobs;
-    const auto results = runGrid(cells, opts, &token);
-    ASSERT_EQ(results.size(), cells.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      EXPECT_TRUE(results[i].skipped) << "jobs " << jobs << " cell " << i;
-      EXPECT_EQ(results[i].cell.robSize, cells[i].robSize);
-      // Skipped cells carry their own verdict, not an Inconclusive alias.
-      EXPECT_EQ(results[i].response.verdict, Verdict::Skipped);
-      EXPECT_FALSE(results[i].response.reason.empty());
-    }
-  }
 }
 
 // The two tests below are named after the incremental SAT session that

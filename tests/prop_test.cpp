@@ -235,10 +235,31 @@ TEST(Cnf, DimacsRoundTrip) {
 }
 
 TEST(Cnf, DimacsRejectsGarbage) {
-  std::stringstream ss("p cnf 2 1\n1 5 0\n");
-  EXPECT_THROW(parseDimacs(ss), InternalError);
-  std::stringstream ss2("1 2 0\n");
-  EXPECT_THROW(parseDimacs(ss2), InternalError);
+  for (const char* text : {
+           "p cnf 2 1\n1 5 0\n",  // literal past the declared variables
+           "1 2 0\n",              // clause before the header
+           // A bad token once ended its line, and the clause ran on into
+           // the next one: this parsed as the single clause (1 | -3).
+           "p cnf 3 2\n1 x 0\n-3 0\n",
+           "p cnf 3 1\n1 2x 0\n",
+           "p cnf 3 1\n1 +2 0\n",
+           "p cnf -1 1\n",          // once 4,294,967,295 variables
+           "p cnf 3\n",
+           "p cnf 3 -2\n",
+           "p cnf x 1\n",
+           "p cnf 2147483648 1\n",  // past INT32_MAX variables
+           "p cnf 2147483647 1\n-2147483648 0\n",  // std::abs overflow
+           "p cnf 3 1\n1 99999999999 0\n",
+       }) {
+    std::stringstream ss(text);
+    EXPECT_THROW(parseDimacs(ss), InternalError) << text;
+  }
+  // The widest header still parses, and so do its extreme literals.
+  std::stringstream widest("p cnf 2147483647 1\n2147483647 -2147483647 0\n");
+  const Cnf cnf = parseDimacs(widest);
+  EXPECT_EQ(cnf.numVars, 2147483647u);
+  ASSERT_EQ(cnf.numClauses(), 1u);
+  EXPECT_EQ(cnf.clauses[0], (Clause{2147483647, -2147483647}));
 }
 
 TEST(Cnf, LiteralCount) {

@@ -17,6 +17,7 @@
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -405,6 +406,27 @@ core::VerifyResponse handle(serve::VerifyServer& server,
                                   &err);
   EXPECT_TRUE(resp.has_value()) << err;
   return resp.value_or(core::VerifyResponse{});
+}
+
+TEST(ServeServer, BadNumberFlagsExitTwoBeforeAnyWorkerStarts) {
+  // No listener is given either, so a build that skipped the number check
+  // still exits 2 (on the missing listener) before it sizes its pool.
+  for (const char* flags :
+       {"--jobs -1", "--jobs 257", "--jobs 2x", "--cache 0", "--port 70000",
+        "--max-timeout 0", "--max-mem -5", "--max-queue 1.5"}) {
+    const std::string cmd =
+        std::string(VELEV_SERVE_BIN) + " " + flags + " 2>&1";
+    FILE* pipe = popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr) << cmd;
+    std::string output;
+    char buf[512];
+    while (fgets(buf, sizeof buf, pipe) != nullptr) output += buf;
+    const int status = pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd << "\n" << output;
+    EXPECT_NE(output.find(" expects a number in "), std::string::npos)
+        << cmd << "\n" << output;
+  }
 }
 
 TEST(ServeServer, VerifiesCachesAndAnswersIdentically) {

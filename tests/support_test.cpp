@@ -6,11 +6,30 @@
 #include "support/check.hpp"
 #include "support/hash.hpp"
 #include "support/interner.hpp"
+#include "support/parse_number.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace velev {
 namespace {
+
+TEST(ParseNumber, AcceptsOnlyAWholeNumberInRange) {
+  EXPECT_EQ(parseNumber<unsigned>("4", 1, kMaxWorkers), 4u);
+  EXPECT_EQ(parseNumber<unsigned>("256", 1, kMaxWorkers), 256u);
+  EXPECT_EQ(parseNumber<int>("-7", -10, 10), -7);
+  EXPECT_EQ(parseNumber<double>("0.25", 1e-9, 1e9), 0.25);
+  EXPECT_EQ(parseNumber<double>("1e3", 1e-9, 1e9), 1000.0);
+  for (const char* bad : {"", "-1", "0", "257", "4x", "x4", " 4", "4 ", "+4",
+                          "4294967296", "99999999999999999999"})
+    EXPECT_FALSE(parseNumber<unsigned>(bad, 1, kMaxWorkers).has_value())
+        << "'" << bad << "'";
+  for (const char* bad : {"0", "-1", "nan", "inf", "1e10", "1s", ""})
+    EXPECT_FALSE(parseNumber<double>(bad, 1e-9, 1e9).has_value())
+        << "'" << bad << "'";
+  EXPECT_FALSE(parseNumber<int>("-2147483649", INT32_MIN, INT32_MAX));
+  EXPECT_EQ(parseNumber<int>("-2147483648", INT32_MIN, INT32_MAX), INT32_MIN);
+}
 
 TEST(Hash, Mix64IsDeterministic) {
   EXPECT_EQ(mix64(42), mix64(42));

@@ -20,8 +20,8 @@
 //   --socket PATH     unix-domain listening socket (unlinked on exit)
 //   --port N          TCP port on 127.0.0.1; 0 picks an ephemeral port
 //                     (printed as "listening on 127.0.0.1:<port>")
-//   --jobs N          verification worker processes (default: hardware
-//                     threads)
+//   --jobs N          verification worker processes, 1..256 (default:
+//                     hardware threads, at most 256)
 //   --cache N         result-cache capacity in entries (default 1024)
 //   --cache-dir DIR   back the result cache with the result store in DIR
 //                     (DIR/results.jsonl, one VerifyResponse per line; the
@@ -51,13 +51,17 @@
 // SIGTERM also shut down cleanly. A request line longer than 1 MiB gets one
 // error response, and its connection is closed.
 //
-// Exit code: 0 on a clean shutdown, 2 on usage/startup errors.
+// Exit code: 0 on a clean shutdown, 2 on usage/startup errors (a number
+// flag outside its range or with trailing junk is a usage error).
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "serve/worker.hpp"
@@ -66,6 +70,8 @@
 using namespace velev;
 
 namespace {
+
+constexpr int kIntMax = std::numeric_limits<int>::max();
 
 [[noreturn]] void usage(const char* msg) {
   std::fprintf(stderr, "error: %s\nsee the header of tools/velev_serve.cpp "
@@ -89,11 +95,11 @@ int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "--worker") == 0) {
     if (argc < 3) usage("--worker needs the socketpair fd");
     serve::WorkerOptions wopts;
-    wopts.fd = std::atoi(argv[2]);
-    if (wopts.fd < 0) usage("--worker fd must be >= 0");
+    wopts.fd = parseNumberOrExit("--worker", argv[2], 0, kIntMax);
     for (int i = 3; i < argc; ++i) {
       if (std::strcmp(argv[i], "--crash-after") == 0 && i + 1 < argc)
-        wopts.crashAfter = std::atoi(argv[++i]);
+        wopts.crashAfter =
+            parseNumberOrExit("--crash-after", argv[++i], 0, kIntMax);
       else
         usage(("unknown worker option: " + std::string(argv[i])).c_str());
     }
@@ -101,7 +107,7 @@ int main(int argc, char** argv) {
   }
 
   serve::ServerOptions opts;
-  opts.jobs = ThreadPool::hardwareThreads();
+  opts.jobs = std::min(ThreadPool::hardwareThreads(), kMaxWorkers);
   bool quiet = false;
   bool havePort = false;
 
@@ -113,34 +119,26 @@ int main(int argc, char** argv) {
     };
     if (a == "--socket") opts.unixSocketPath = next();
     else if (a == "--port") {
-      opts.tcpPort = std::atoi(next());
+      opts.tcpPort = parseNumberOrExit(a, next(), 0, 65535);
       havePort = true;
-      if (opts.tcpPort < 0 || opts.tcpPort > 65535)
-        usage("--port must be 0..65535");
     } else if (a == "--jobs") {
-      opts.jobs = static_cast<unsigned>(std::atoi(next()));
-      if (opts.jobs < 1) usage("--jobs must be >= 1");
+      opts.jobs = parseNumberOrExit(a, next(), 1u, kMaxWorkers);
     } else if (a == "--cache") {
-      const long n = std::atol(next());
-      if (n < 1) usage("--cache must be >= 1 entries");
-      opts.cacheMaxEntries = static_cast<std::size_t>(n);
+      opts.cacheMaxEntries =
+          parseNumberOrExit<std::size_t>(a, next(), 1, SIZE_MAX);
     } else if (a == "--cache-dir") {
       opts.cacheDir = next();
     } else if (a == "--max-queue") {
-      const long n = std::atol(next());
-      if (n < 1) usage("--max-queue must be >= 1");
-      opts.maxQueueDepth = static_cast<std::size_t>(n);
+      opts.maxQueueDepth =
+          parseNumberOrExit<std::size_t>(a, next(), 1, SIZE_MAX);
     } else if (a == "--max-pending-secs") {
-      opts.maxPendingSeconds = std::atof(next());
-      if (opts.maxPendingSeconds <= 0) usage("--max-pending-secs must be > 0");
+      opts.maxPendingSeconds = parseNumberOrExit(a, next(), 1e-9, 1e9);
     } else if (a == "--max-timeout") {
-      opts.maxTimeoutSeconds = std::atof(next());
-      if (opts.maxTimeoutSeconds <= 0) usage("--max-timeout must be > 0");
+      opts.maxTimeoutSeconds = parseNumberOrExit(a, next(), 1e-9, 1e9);
     } else if (a == "--max-mem") {
-      const long mb = std::atol(next());
-      if (mb <= 0) usage("--max-mem must be > 0 MiB");
-      opts.maxMemoryBudgetBytes =
-          static_cast<std::uint64_t>(mb) * 1024u * 1024u;
+      const std::uint64_t mb =
+          parseNumberOrExit<std::uint64_t>(a, next(), 1, UINT64_MAX >> 20);
+      opts.maxMemoryBudgetBytes = mb * 1024u * 1024u;
     } else if (a == "--quiet") quiet = true;
     else usage(("unknown option: " + a).c_str());
   }
@@ -162,7 +160,8 @@ int main(int argc, char** argv) {
   // Fault-injection hook (CI smoke): armed once, then scrubbed from the
   // environment so no worker — and no respawn — re-inherits it.
   if (const char* crash = std::getenv("VELEV_SERVE_CRASH_AFTER")) {
-    opts.workerCrashAfter = std::atoi(crash);
+    opts.workerCrashAfter =
+        parseNumberOrExit("VELEV_SERVE_CRASH_AFTER", crash, 0, kIntMax);
     ::unsetenv("VELEV_SERVE_CRASH_AFTER");
   }
 

@@ -19,13 +19,13 @@
 //                     (after rewriting, any ROB size at one width) replay
 //                     one solve with unchanged verdicts and counters
 //                     (off under --mem-budget)
-//   --jobs N          grid mode: worker threads, one (N, k) cell per task
-//                     (default 1). A single run is one cell: --jobs N > 1
-//                     without --grid is a usage error; --cell-jobs
-//                     parallelises one cell
-//   --cell-jobs N     intra-cell parallelism (default 1): shard the rewrite
-//                     slice checks and the CNF build (Tseitin + one
-//                     transitivity component per worker) across N threads
+//   --jobs N          grid mode: threads over the cells, 1..256 (default
+//                     1). A single run is one cell: --jobs N > 1 without
+//                     --grid is a usage error; --cell-jobs parallelises
+//                     one cell
+//   --cell-jobs N     intra-cell parallelism, 1..256 (default 1): fan the
+//                     rewrite slice checks and the CNF build (Tseitin
+//                     shards, transitivity components) out on N threads
 //                     *inside* each verification. Verdicts and counters are
 //                     identical to --cell-jobs 1 — this only buys wall
 //                     clock on big-N cells (docs/SCALING.md). Applies to
@@ -46,7 +46,7 @@
 //                     --proof requires the sat engine
 //   --bug KIND:SLICE  inject a defect: fwd | stale | retire | alu |
 //                     completion, at the given 1-based slice
-//   --budget N        SAT conflict budget (default unlimited)
+//   --budget N        SAT conflict budget, N >= 0 (default unlimited)
 //   --timeout SECS    wall-clock budget per cell; exhaustion degrades into
 //                     verdict `timeout` instead of running forever
 //   --mem-budget MB   logical-arena memory budget per cell; exhaustion
@@ -100,13 +100,16 @@
 // severity: any bug -> 1, else any timeout/memout -> 4, else any
 // inconclusive/skipped -> 3, else 0.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "velev.hpp"
@@ -129,16 +132,21 @@ models::BugKind parseBugKind(const std::string& s) {
   return *k;
 }
 
+/// A ROB size, issue width or bug slice: any unsigned; the cell's
+/// VerifyRequest::validate() names the ones out of range.
+unsigned cellNumber(std::string_view name, std::string_view text) {
+  return parseNumberOrExit<unsigned>(name, text, 0,
+                                     std::numeric_limits<unsigned>::max());
+}
+
 std::vector<unsigned> parseUnsignedList(const std::string& s) {
   std::vector<unsigned> out;
   std::size_t pos = 0;
   while (pos < s.size()) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(s.c_str() + pos, &end, 10);
-    if (end == s.c_str() + pos) usage(("bad number in list: " + s).c_str());
-    out.push_back(static_cast<unsigned>(v));
-    pos = static_cast<std::size_t>(end - s.c_str());
-    if (pos < s.size() && s[pos] == ',') ++pos;
+    const std::size_t comma = std::min(s.find(',', pos), s.size());
+    out.push_back(
+        cellNumber("--grid", std::string_view(s).substr(pos, comma - pos)));
+    pos = comma + 1;
   }
   return out;
 }
@@ -175,8 +183,8 @@ std::vector<core::GridCell> parseGridSpec(const std::string& spec) {
     const std::size_t x = part.find('x');
     if (x == std::string::npos) usage("--grid cells must look like NxK");
     core::GridCell c;
-    c.robSize = static_cast<unsigned>(std::atoi(part.c_str()));
-    c.issueWidth = static_cast<unsigned>(std::atoi(part.c_str() + x + 1));
+    c.robSize = cellNumber("--grid", std::string_view(part).substr(0, x));
+    c.issueWidth = cellNumber("--grid", std::string_view(part).substr(x + 1));
     cells.push_back(c);
     if (comma == std::string::npos) break;
     pos = comma + 1;
@@ -431,15 +439,12 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(("missing value for " + a).c_str());
       return argv[++i];
     };
-    if (a == "--size") size = std::atoi(next());
-    else if (a == "--width") width = std::atoi(next());
-    else if (a == "--jobs") {
-      jobs = std::atoi(next());
-      if (jobs < 1) usage("--jobs must be >= 1");
-    } else if (a == "--cell-jobs") {
-      cellJobs = std::atoi(next());
-      if (cellJobs < 1) usage("--cell-jobs must be >= 1");
-    } else if (a == "--cache-dir") cacheDir = next();
+    if (a == "--size") size = cellNumber(a, next());
+    else if (a == "--width") width = cellNumber(a, next());
+    else if (a == "--jobs") jobs = parseNumberOrExit(a, next(), 1u, kMaxWorkers);
+    else if (a == "--cell-jobs")
+      cellJobs = parseNumberOrExit(a, next(), 1u, kMaxWorkers);
+    else if (a == "--cache-dir") cacheDir = next();
     else if (a == "--grid") gridSpec = next();
     else if (a == "--strategy") {
       const std::string s = next();
@@ -456,15 +461,16 @@ int main(int argc, char** argv) {
       const auto colon = s.find(':');
       if (colon == std::string::npos) usage("--bug expects KIND:SLICE");
       bug.kind = parseBugKind(s.substr(0, colon));
-      bug.index = std::atoi(s.c_str() + colon + 1);
-    } else if (a == "--budget") budget.satConflicts = std::atoll(next());
-    else if (a == "--timeout") {
-      budget.wallSeconds = std::atof(next());
-      if (budget.wallSeconds <= 0) usage("--timeout must be > 0 seconds");
+      bug.index = cellNumber(a, std::string_view(s).substr(colon + 1));
+    } else if (a == "--budget") {
+      budget.satConflicts = parseNumberOrExit<std::int64_t>(
+          a, next(), 0, std::numeric_limits<std::int64_t>::max());
+    } else if (a == "--timeout") {
+      budget.wallSeconds = parseNumberOrExit(a, next(), 1e-9, 1e9);
     } else if (a == "--mem-budget") {
-      const long mb = std::atol(next());
-      if (mb <= 0) usage("--mem-budget must be > 0 MiB");
-      budget.memoryBytes = static_cast<std::size_t>(mb) * 1024u * 1024u;
+      const std::size_t mb =
+          parseNumberOrExit<std::size_t>(a, next(), 1, SIZE_MAX >> 20);
+      budget.memoryBytes = mb * 1024u * 1024u;
     } else if (a == "--fallback") {
       const std::string s = next();
       if (s == "rewrite" || s == "retry-with-rewriting")
