@@ -21,7 +21,7 @@
 // thread's sink; everything the pipeline records on that thread between
 // construction and destruction lands there. This fits the grid runner's
 // one-Context-per-cell ownership rule: each cell attaches its own
-// Collector inside its worker task, so concurrent cells never share a
+// Collector inside its parallelFor body, so concurrent cells never share a
 // sink and per-cell manifests stay exact. Code that wants its internal
 // threads traced captures `trace::active()` in the parent and re-attaches
 // it in the children — Collector itself is thread-safe (one mutex; spans
